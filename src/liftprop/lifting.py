@@ -9,6 +9,7 @@ universe, mono/epi tests, and the self-lifting scan.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .oracles import is_injective
@@ -134,25 +135,53 @@ def find_diagonal(square: Square) -> MonotoneMap | None:
 def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None) -> LiftResult:
     """Decide whether f lifts against g (f on the left, g on the right).
 
-    Squares are visited with the top map in the outer loop and the bottom
-    map in the inner loop, both in hom_enumerate order, so the reported
-    counterexample is reproducible.
+    A square with top i and bottom j commutes exactly when g after i and
+    j after f agree on every point of A.  The bottoms are therefore indexed
+    by their values on the image of f (j after f), each bucket in
+    hom_enumerate order, and each top, also in hom_enumerate order, visits
+    only the bucket under its g after i; non-commuting pairs are skipped by
+    the index without being looked at.  The commuting squares keep the
+    order of a full scan, top map outer and bottom map inner, so the
+    counterexample and the witness are those of that scan.  Cost:
+    (|tops| + |bottoms|) * |A| to index, plus one find_diagonal per
+    commuting square visited.
     """
     cache = HomCache() if cache is None else cache
     tops = cache.hom(f.source, g.source)
     bottoms = cache.hom(f.target, g.target)
-    n_left = len(f.source)
+    f_assign, g_assign = f.assign, g.assign
+    by_image: dict[tuple[int, ...], list[MonotoneMap]] = {}
+    for j in bottoms:
+        j_assign = j.assign
+        by_image.setdefault(tuple([j_assign[b] for b in f_assign]), []).append(j)
     witness = None
     for i in tops:
-        for j in bottoms:
-            if any(g.assign[i.assign[a]] != j.assign[f.assign[a]] for a in range(n_left)):
-                continue
+        for j in by_image.get(tuple([g_assign[x] for x in i.assign]), ()):
             square = Square(f, g, i, j)
             d = find_diagonal(square)
             if d is None:
                 return LiftResult(False, square, None)
             if witness is None:
                 witness = d
+    return LiftResult(True, None, witness)
+
+
+def _lift_all(
+    pairs: Iterable[tuple[MonotoneMap, MonotoneMap]], cache: HomCache | None
+) -> LiftResult:
+    """Conjunction of lifting checks over (left, right) pairs, taken in order.
+
+    Returns the first failing result, or a holding one carrying the witness
+    of the first check that has one.
+    """
+    cache = HomCache() if cache is None else cache
+    witness = None
+    for f, g in pairs:
+        result = lifting_check(f, g, cache)
+        if not result.holds:
+            return result
+        if witness is None:
+            witness = result.witness
     return LiftResult(True, None, witness)
 
 
@@ -192,16 +221,8 @@ def characterize(name: str, arg, cache: HomCache | None = None) -> LiftResult:
     # against the three-point space with two open tops.  A repeated point
     # can never be sent to the two incomparable tops, so only injective
     # pairs are quantified; otherwise every nonempty space would fail.
-    witness = None
-    for pair in cache.hom(TWO, arg):
-        if not is_injective(pair):
-            continue
-        result = lifting_check(pair, to_point(VEE), cache)
-        if not result.holds:
-            return result
-        if witness is None:
-            witness = result.witness
-    return LiftResult(True, None, witness)
+    injective_pairs = (pair for pair in cache.hom(TWO, arg) if is_injective(pair))
+    return _lift_all(((pair, to_point(VEE)) for pair in injective_pairs), cache)
 
 
 @dataclass(frozen=True)
@@ -225,28 +246,12 @@ class Universe:
 
 def mono_lift_result(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> LiftResult:
     """Lifting reading of mono: the codiagonal of every Z lifts against f."""
-    cache = HomCache() if cache is None else cache
-    witness = None
-    for z in universe.spaces:
-        result = lifting_check(codiagonal(z), f, cache)
-        if not result.holds:
-            return result
-        if witness is None:
-            witness = result.witness
-    return LiftResult(True, None, witness)
+    return _lift_all(((codiagonal(z), f) for z in universe.spaces), cache)
 
 
 def epi_lift_result(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> LiftResult:
     """Lifting reading of epi: f lifts against the diagonal of every Z."""
-    cache = HomCache() if cache is None else cache
-    witness = None
-    for z in universe.spaces:
-        result = lifting_check(f, diagonal(z), cache)
-        if not result.holds:
-            return result
-        if witness is None:
-            witness = result.witness
-    return LiftResult(True, None, witness)
+    return _lift_all(((f, diagonal(z)) for z in universe.spaces), cache)
 
 
 def is_mono_upto(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> bool:

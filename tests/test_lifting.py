@@ -1,6 +1,7 @@
 """The lifting decision procedure and the operators built on it."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from liftprop import (
     CODIAG,
@@ -13,8 +14,10 @@ from liftprop import (
     SIERP_TO_PT,
     TWO,
     VEE,
+    LiftResult,
     MonotoneMap,
     Square,
+    build_space,
     characterize,
     compose,
     find_diagonal,
@@ -29,6 +32,7 @@ from liftprop import (
     is_surjective,
     lifting_check,
     orthogonal_class,
+    product,
     self_lifting_scan,
     to_point,
 )
@@ -279,3 +283,90 @@ def test_hom_cache_returns_identical_tuples():
     second = cache.hom(SIERP, VEE)
     assert first is second
     assert first == tuple(hom_enumerate(SIERP, VEE))
+
+
+def scan_every_pair(f, g):
+    """The full pair scan: tops outer, bottoms inner, commutation filter."""
+    tops = hom_enumerate(f.source, g.source)
+    bottoms = hom_enumerate(f.target, g.target)
+    witness = None
+    for i in tops:
+        for j in bottoms:
+            if any(g.assign[i.assign[a]] != j.assign[f.assign[a]] for a in range(len(f.source))):
+                continue
+            square = Square(f, g, i, j)
+            d = find_diagonal(square)
+            if d is None:
+                return LiftResult(False, square, None)
+            if witness is None:
+                witness = d
+    return LiftResult(True, None, witness)
+
+
+def assert_same_as_full_scan(f, g):
+    got, want = lifting_check(f, g), scan_every_pair(f, g)
+    assert got.holds == want.holds
+    if want.counterexample is None:
+        assert got.counterexample is None
+    else:
+        assert got.counterexample.top == want.counterexample.top
+        assert got.counterexample.bottom == want.counterexample.bottom
+    assert got.witness == want.witness
+
+
+@st.composite
+def spaces(draw):
+    n = draw(st.integers(0, 4))
+    if not n:
+        return EMPTY
+    labels = [f"e{k}" for k in range(n)]
+    label = st.sampled_from(labels)
+    return build_space(labels, draw(st.lists(st.tuples(label, label), max_size=6)))
+
+
+@st.composite
+def maps(draw):
+    source, target = draw(spaces()), draw(spaces())
+    homs = hom_enumerate(source, target)
+    assume(homs)
+    return draw(st.sampled_from(homs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps(), maps())
+def test_lifting_check_matches_full_pair_scan(f, g):
+    assert_same_as_full_scan(f, g)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        # Empty source of f: every bottom is filed under the key ().
+        (EMPTY_TO_PT, CODIAG),
+        (EMPTY_TO_PT, to_point(VEE)),
+        (EMPTY_TO_PT, MonotoneMap(PT, SIERP, (1,))),
+        # Non-injective f: two points of A read the same value of j.
+        (CODIAG, CODIAG),
+        (CODIAG, SIERP_TO_PT),
+        (CODIAG, identity(TWO)),
+        # Empty hom-sets: no bottoms, or neither tops nor bottoms.
+        (EMPTY_TO_PT, identity(EMPTY)),
+        (identity(PT), identity(EMPTY)),
+    ],
+)
+def test_lifting_check_matches_full_pair_scan_on_edge_cases(f, g):
+    assert_same_as_full_scan(f, g)
+
+
+def test_identity_self_lift_on_nine_points_finishes():
+    """The identity of VEE x VEE lifts against itself.
+
+    Its hom-set has 38,809 endomaps, so a full pair scan would test about
+    1.5e9 pairs; the indexed scan visits only the 38,809 commuting squares
+    and decides in about 1.5 s on a 2-core machine (hom-set included).
+    """
+    space, _ = product(VEE, VEE)
+    assert len(space) == 9
+    result = lifting_check(identity(space), identity(space))
+    assert result.holds
+    assert result.witness.assign == (0,) * 9
