@@ -1,15 +1,22 @@
-"""Corpus programs: every file parses, executes, and round-trips exactly."""
+"""Corpus programs: every file parses, executes, and round-trips exactly.
 
+``corpus/expected`` holds each program's output, plain (``.out``) and
+``--machine`` (``.jsonl``).  When a change is meant to alter an output,
+regenerate the file with ``liftprop run corpus/NAME.lift [--machine]``.
+"""
+
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from liftprop import elaborate, encode_result, parse, print_query, print_space
-from liftprop.cli import execute_query
+from liftprop.cli import execute_query, run_file
 from liftprop.notation import BUILTIN_SPACES, SpaceDecl
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.lift"))
+EXPECTED = Path(__file__).parent / "corpus" / "expected"
 
 
 def reprint_program(program, env):
@@ -42,6 +49,15 @@ def test_corpus_program_executes_deterministically(path):
         record = json.dumps(encode_result(execute_query(query, env)), sort_keys=True)
         again = json.dumps(encode_result(execute_query(query, env)), sort_keys=True)
         assert again == record
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["plain", "machine"])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_output_matches_expected_bytes(path, machine):
+    out = io.StringIO()
+    assert run_file(str(path), machine, out) == 0
+    expected = EXPECTED / f"{path.stem}.{'jsonl' if machine else 'out'}"
+    assert out.getvalue().encode("utf-8") == expected.read_bytes()
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
