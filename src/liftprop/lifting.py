@@ -28,6 +28,7 @@ from .preorder import (
     diagonal,
     enumerate_preorders,
     hom_enumerate,
+    monotone_assignments,
     to_point,
 )
 
@@ -80,56 +81,39 @@ class LiftResult:
     """Outcome of a lifting query.
 
     ``counterexample`` is present exactly when the property fails; it is a
-    commuting square admitting no diagonal.  ``witness`` is the diagonal
-    found for the first commuting square, kept for diagnostics only (it is
-    None when no commuting square exists at all).
+    commuting square admitting no diagonal.
     """
 
     holds: bool
     counterexample: Square | None
-    witness: MonotoneMap | None
 
 
 def find_diagonal(square: Square) -> MonotoneMap | None:
     """Lex-least monotone d: B->X with d after f = top and g after d = bottom.
 
     Values on the image of f are forced by the top triangle, so they are
-    propagated first; backtracking only branches on the remaining elements,
-    with candidates restricted to the right fiber over the bottom map.
+    propagated first and two different forced values end the search at
+    once.  Every other point b ranges over the fibre of g over j(b), and
+    monotone_assignments searches those candidates.
     """
     f, g, i, j = square.left, square.right, square.top, square.bottom
     mid_src, mid_tgt = f.target, g.source
-    n = len(mid_src)
-    forced: list[int | None] = [None] * n
+    forced: list[int | None] = [None] * len(mid_src)
     for a in range(len(f.source)):
         b, x = f.assign[a], i.assign[a]
         if forced[b] is not None and forced[b] != x:
             return None
         forced[b] = x
-    assign = [0] * n
-
-    def place(b: int) -> bool:
-        candidates = range(len(mid_tgt)) if forced[b] is None else (forced[b],)
-        for x in candidates:
-            if g.assign[x] != j.assign[b]:
-                continue
-            ok = True
-            for p in range(b):
-                if mid_src.leq[p][b] and not mid_tgt.leq[assign[p]][x]:
-                    ok = False
-                    break
-                if mid_src.leq[b][p] and not mid_tgt.leq[x][assign[p]]:
-                    ok = False
-                    break
-            if ok:
-                assign[b] = x
-                if b + 1 == n or place(b + 1):
-                    return True
-        return False
-
-    if n > 0 and not place(0):
-        return None
-    return MonotoneMap(mid_src, mid_tgt, tuple(assign))
+    g_assign = g.assign
+    candidates = []
+    for b, y in enumerate(j.assign):
+        x = forced[b]
+        if x is None:
+            candidates.append([v for v, gv in enumerate(g_assign) if gv == y])
+        else:
+            candidates.append((x,) if g_assign[x] == y else ())
+    assign = next(monotone_assignments(mid_src, mid_tgt, candidates), None)
+    return None if assign is None else MonotoneMap(mid_src, mid_tgt, assign)
 
 
 def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None) -> LiftResult:
@@ -142,7 +126,7 @@ def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None)
     only the bucket under its g after i; non-commuting pairs are skipped by
     the index without being looked at.  The commuting squares keep the
     order of a full scan, top map outer and bottom map inner, so the
-    counterexample and the witness are those of that scan.  Cost:
+    counterexample is that of that scan.  Cost:
     (|tops| + |bottoms|) * |A| to index, plus one find_diagonal per
     commuting square visited.
     """
@@ -154,16 +138,12 @@ def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None)
     for j in bottoms:
         j_assign = j.assign
         by_image.setdefault(tuple([j_assign[b] for b in f_assign]), []).append(j)
-    witness = None
     for i in tops:
         for j in by_image.get(tuple([g_assign[x] for x in i.assign]), ()):
             square = Square(f, g, i, j)
-            d = find_diagonal(square)
-            if d is None:
-                return LiftResult(False, square, None)
-            if witness is None:
-                witness = d
-    return LiftResult(True, None, witness)
+            if find_diagonal(square) is None:
+                return LiftResult(False, square)
+    return LiftResult(True, None)
 
 
 def _lift_all(
@@ -171,18 +151,14 @@ def _lift_all(
 ) -> LiftResult:
     """Conjunction of lifting checks over (left, right) pairs, taken in order.
 
-    Returns the first failing result, or a holding one carrying the witness
-    of the first check that has one.
+    Returns the first failing result, or a holding one.
     """
     cache = HomCache() if cache is None else cache
-    witness = None
     for f, g in pairs:
         result = lifting_check(f, g, cache)
         if not result.holds:
             return result
-        if witness is None:
-            witness = result.witness
-    return LiftResult(True, None, witness)
+    return LiftResult(True, None)
 
 
 def characterize(name: str, arg, cache: HomCache | None = None) -> LiftResult:
@@ -239,9 +215,6 @@ class Universe:
         spaces = tuple(enumerate_preorders(max_size))
         maps = tuple(m for p in spaces for q in spaces for m in cache.hom(p, q))
         return cls(max_size, spaces, maps)
-
-    def hom(self, source: FinPreorder, target: FinPreorder) -> tuple[MonotoneMap, ...]:
-        return tuple(m for m in self.maps if m.source == source and m.target == target)
 
 
 def mono_lift_result(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> LiftResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -205,36 +206,52 @@ def to_point(space: FinPreorder) -> MonotoneMap:
     return MonotoneMap(space, PT, (0,) * len(space))
 
 
-def hom_enumerate(source: FinPreorder, target: FinPreorder) -> list[MonotoneMap]:
-    """All monotone maps source -> target, in lexicographic-by-assignment order.
+def monotone_assignments(
+    source: FinPreorder, target: FinPreorder, candidates: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Yield every monotone assignment with ``assign[x]`` in ``candidates[x]``.
 
-    Backtracks over source indices in order, pruning any partial assignment
-    that violates monotonicity against an already-assigned comparable element.
+    Assignments come out as tuples in lexicographic order, taking each
+    ``candidates[x]`` in its given order.  Source indices are placed in
+    order, and a value is rejected as soon as it breaks monotonicity against
+    an already-placed comparable index.  The search keeps an explicit stack
+    of candidate iterators, one per placed index, instead of recursing, so
+    its depth is not bounded by the interpreter's recursion limit.
     """
-    n, m = len(source), len(target)
+    n = len(source)
+    if n == 0:
+        yield ()
+        return
     s_leq, t_leq = source.leq, target.leq
-    out: list[MonotoneMap] = []
     assign = [0] * n
-
-    def backtrack(x: int) -> None:
-        if x == n:
-            out.append(MonotoneMap(source, target, tuple(assign)))
-            return
-        for v in range(m):
-            ok = True
+    stack = [iter(candidates[0])]
+    while stack:
+        x = len(stack) - 1
+        for v in stack[x]:
             for p in range(x):
                 if s_leq[p][x] and not t_leq[assign[p]][v]:
-                    ok = False
                     break
                 if s_leq[x][p] and not t_leq[v][assign[p]]:
-                    ok = False
                     break
-            if ok:
+            else:
                 assign[x] = v
-                backtrack(x + 1)
+                break
+        else:
+            stack.pop()
+            continue
+        if x + 1 == n:
+            yield tuple(assign)
+        else:
+            stack.append(iter(candidates[x + 1]))
 
-    backtrack(0)
-    return out
+
+def hom_enumerate(source: FinPreorder, target: FinPreorder) -> list[MonotoneMap]:
+    """All monotone maps source -> target, in lexicographic-by-assignment order."""
+    values = range(len(target))
+    return [
+        MonotoneMap(source, target, assign)
+        for assign in monotone_assignments(source, target, [values] * len(source))
+    ]
 
 
 def _fresh_product_labels(p: FinPreorder, q: FinPreorder) -> list[str]:

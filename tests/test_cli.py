@@ -156,6 +156,15 @@ def test_run_machine_emits_one_record_per_query(tmp_path, capsys):
     assert all(r["format"] == 1 for r in records)
 
 
+def test_run_hom_from_1200_point_space(tmp_path, capsys):
+    labels = ", ".join(f"a{k}" for k in range(1200))
+    path = program(tmp_path, f"space X = {{ {labels} }}\nhom X PT\n")
+    assert run_cli("run", path) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["hom X PT", "  count 1"]
+    assert captured.err == ""
+
+
 def test_run_empty_program(tmp_path, capsys):
     assert run_cli("run", program(tmp_path, "# nothing here\n")) == 0
     assert capsys.readouterr().out == ""

@@ -201,6 +201,13 @@ def test_hom_from_empty_is_unique():
         assert len(hom_enumerate(EMPTY, q)) == 1
 
 
+def test_hom_from_1200_point_discrete_space_is_unique():
+    # Deeper than the interpreter's default recursion limit of 1000.
+    space = build_space([f"a{k}" for k in range(1200)], [])
+    maps = hom_enumerate(space, PT)
+    assert [f.assign for f in maps] == [(0,) * 1200]
+
+
 def test_hom_output_is_lexicographic():
     maps = hom_enumerate(TWO, VEE)
     assigns = [f.assign for f in maps]
