@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .lifting import (
@@ -50,17 +49,6 @@ from .notation import (
 )
 from .preorder import DEFAULT_SIZE_CAP, enumerate_preorders
 from .verify import verify_paper
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One resolved invocation: a single command plus its arguments and flags."""
-
-    command: str
-    arguments: tuple[str, ...]
-    input_path: str | None
-    max_size: int
-    machine: bool
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -120,40 +108,19 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    command = args.command
-    if command == "run":
-        arguments = (args.path,)
-    elif command == "lift":
-        arguments = (args.left, args.right)
-    elif command == "check":
-        arguments = (args.prop, args.name)
-    elif command == "orthogonal":
-        arguments = (args.side, *args.tests)
-    elif command == "enumerate":
-        arguments = (str(args.size),)
-    elif command == "hom":
-        arguments = (args.source, args.target)
-    else:
-        arguments = ()
-    config = CliConfig(
-        command=command,
-        arguments=arguments,
-        input_path=getattr(args, "input", None),
-        max_size=getattr(args, "max_size", 3),
-        machine=args.machine,
-    )
-    if not 0 <= config.max_size <= DEFAULT_SIZE_CAP:
+def _check_sizes(args: argparse.Namespace) -> None:
+    """Refuse size arguments outside what the commands support."""
+    max_size = getattr(args, "max_size", 3)
+    if not 0 <= max_size <= DEFAULT_SIZE_CAP:
         raise ValidationError(
-            f"--max-size must be between 0 and {DEFAULT_SIZE_CAP}, got {config.max_size}"
+            f"--max-size must be between 0 and {DEFAULT_SIZE_CAP}, got {max_size}"
         )
-    if command == "verify-paper" and not 1 <= config.max_size <= 4:
+    if args.command == "verify-paper" and not 1 <= max_size <= 4:
         raise ValidationError("verify-paper supports --max-size between 1 and 4")
-    if command == "enumerate" and not 0 <= args.size <= DEFAULT_SIZE_CAP:
+    if args.command == "enumerate" and not 0 <= args.size <= DEFAULT_SIZE_CAP:
         raise ValidationError(
             f"size must be between 0 and {DEFAULT_SIZE_CAP}, got {args.size}"
         )
-    return config
 
 
 def execute_query(query: Query, env: Env) -> Outcome:
@@ -224,9 +191,9 @@ def _require_map(env: Env, name: str) -> None:
         raise ValidationError(f"unknown map {name!r}")
 
 
-def _run_verify(config: CliConfig, out) -> int:
-    reports = verify_paper(config.max_size)
-    if config.machine:
+def _run_verify(max_size: int, machine: bool, out) -> int:
+    reports = verify_paper(max_size)
+    if machine:
         for r in reports:
             record = {
                 "format": 1,
@@ -249,49 +216,46 @@ def _run_verify(config: CliConfig, out) -> int:
     return 0 if all(r.mismatches == 0 for r in reports) else 2
 
 
-def _dispatch(config: CliConfig) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
+    _check_sizes(args)
     out = sys.stdout
-    if config.command == "run":
-        return run_file(config.arguments[0], config.machine, out)
-    if config.command == "verify-paper":
-        return _run_verify(config, out)
-    env = _load_env(config.input_path)
-    if config.command == "lift":
-        left, right = config.arguments
-        _require_map(env, left)
-        _require_map(env, right)
-        outcome = execute_query(LiftQuery(left, right), env)
-    elif config.command == "check":
-        prop, name = config.arguments
-        if prop not in PROPERTY_IDS:
+    if args.command == "run":
+        return run_file(args.path, args.machine, out)
+    if args.command == "verify-paper":
+        return _run_verify(args.max_size, args.machine, out)
+    env = _load_env(getattr(args, "input", None))
+    if args.command == "lift":
+        _require_map(env, args.left)
+        _require_map(env, args.right)
+        outcome = execute_query(LiftQuery(args.left, args.right), env)
+    elif args.command == "check":
+        if args.prop not in PROPERTY_IDS:
             raise ValidationError(
-                f"unknown property {prop!r}; expected one of {', '.join(PROPERTY_IDS)}"
+                f"unknown property {args.prop!r}; expected one of {', '.join(PROPERTY_IDS)}"
             )
-        if prop in SPACE_PROPERTIES:
-            _require_space(env, name)
+        if args.prop in SPACE_PROPERTIES:
+            _require_space(env, args.name)
         else:
-            _require_map(env, name)
-        outcome = execute_query(CheckQuery(prop, name), env)
-    elif config.command == "orthogonal":
-        side, *tests = config.arguments
-        for test in tests:
+            _require_map(env, args.name)
+        outcome = execute_query(CheckQuery(args.prop, args.name), env)
+    elif args.command == "orthogonal":
+        for test in args.tests:
             _require_map(env, test)
-        outcome = execute_query(OrthogonalQuery(side, tuple(tests), config.max_size), env)
-    elif config.command == "hom":
-        source, target = config.arguments
-        _require_space(env, source)
-        _require_space(env, target)
-        outcome = execute_query(HomQuery(source, target), env)
+        outcome = execute_query(OrthogonalQuery(args.side, tuple(args.tests), args.max_size), env)
+    elif args.command == "hom":
+        _require_space(env, args.source)
+        _require_space(env, args.target)
+        outcome = execute_query(HomQuery(args.source, args.target), env)
     else:
-        outcome = execute_query(EnumerateQuery(int(config.arguments[0])), env)
-    _emit(outcome, config.machine, out)
+        outcome = execute_query(EnumerateQuery(args.size), env)
+    _emit(outcome, args.machine, out)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(_config_from_args(args))
+        return _dispatch(args)
     except (ParseError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -71,7 +71,7 @@ class Square:
             raise ValueError("top map must go from the left source to the right source")
         if j.source != f.target or j.target != g.target:
             raise ValueError("bottom map must go from the left target to the right target")
-        for a in range(len(f.source)):
+        for a in range(len(f.source.labels)):
             if g.assign[i.assign[a]] != j.assign[f.assign[a]]:
                 raise ValueError(f"square does not commute at {f.source.labels[a]!r}")
 
@@ -98,8 +98,8 @@ def find_diagonal(square: Square) -> MonotoneMap | None:
     """
     f, g, i, j = square.left, square.right, square.top, square.bottom
     mid_src, mid_tgt = f.target, g.source
-    forced: list[int | None] = [None] * len(mid_src)
-    for a in range(len(f.source)):
+    forced: list[int | None] = [None] * len(mid_src.labels)
+    for a in range(len(f.source.labels)):
         b, x = f.assign[a], i.assign[a]
         if forced[b] is not None and forced[b] != x:
             return None

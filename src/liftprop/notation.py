@@ -12,6 +12,7 @@ well-formed file can still fail validation with a named diagnostic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .lifting import PROPERTY_IDS, SPACE_PROPERTIES, LiftResult
@@ -32,6 +33,7 @@ from .preorder import (
     MonotoneMap,
     NotMonotoneError,
     build_space,
+    row_mask,
 )
 
 BUILTIN_SPACES = {
@@ -518,23 +520,29 @@ def _space_items(space: FinPreorder) -> list[str]:
 
     Depends only on the closure, so any two presentations of the same
     space print identically; re-parsing restores label order from the
-    leading bare items and the closure from the generators.
+    leading bare items and the closure from the generators.  The relation
+    is read as row and column bitmasks, so a cover test is one mask
+    intersection rather than a scan over every point.
     """
-    n = len(space)
-    comp_of = [
-        min(y for y in range(n) if space.leq[x][y] and space.leq[y][x]) for x in range(n)
-    ]
+    leq = space.leq
+    ups = [row_mask(row) for row in leq]
+    downs = [row_mask(column) for column in zip(*leq)]
+    # Each point's class, keyed by its least member; keys arrive ascending.
+    classes: dict[int, list[int]] = {}
+    for x, (up, down) in enumerate(zip(ups, downs)):
+        same = up & down
+        classes.setdefault((same & -same).bit_length() - 1, []).append(x)
     items = list(space.labels)
-    reps = sorted(set(comp_of))
-    for rep in reps:
-        members = [x for x in range(n) if comp_of[x] == rep]
+    for members in classes.values():
         for a, b in zip(members, members[1:]):
             items.append(f"{space.labels[a]} <> {space.labels[b]}")
+    reps = list(classes)
+    rep_mask = sum(1 << rep for rep in reps)
     for a in reps:
         for b in reps:
-            if a == b or not space.leq[a][b]:
+            if a == b or not leq[a][b]:
                 continue
-            if any(c != a and c != b and space.leq[a][c] and space.leq[c][b] for c in reps):
+            if ups[a] & downs[b] & rep_mask & ~(1 << a | 1 << b):
                 continue
             items.append(f"{space.labels[a]} < {space.labels[b]}")
     return items
@@ -627,11 +635,23 @@ def _assignment_items(f: MonotoneMap) -> list[str]:
     return [f"{a} |-> {b}" for a, b in f.assignment_by_label()]
 
 
-def _map_line(f: MonotoneMap) -> str:
-    return (
-        f"{_brace(_space_items(f.source))} -> {_brace(_space_items(f.target))}"
-        f" = {_brace(_assignment_items(f))}"
-    )
+def _map_braces(maps: tuple[MonotoneMap, ...]) -> Iterator[tuple[str, str, MonotoneMap]]:
+    """Yield (source text, target text, map) for each map, in order.
+
+    A map list often repeats a few spaces many times, so each space's
+    brace text is computed once per walk, keyed by object identity; the
+    list keeps every space alive, so no identity is reused meanwhile.
+    """
+    texts: dict[int, str] = {}
+
+    def brace(space: FinPreorder) -> str:
+        text = texts.get(id(space))
+        if text is None:
+            text = texts[id(space)] = _brace(_space_items(space))
+        return text
+
+    for f in maps:
+        yield brace(f.source), brace(f.target), f
 
 
 def print_result(outcome: Outcome) -> str:
@@ -645,8 +665,8 @@ def print_result(outcome: Outcome) -> str:
             lines.append(f"  bottom: {_brace(_assignment_items(square.bottom))}")
     elif isinstance(outcome, MapListOutcome):
         lines.append(f"  count {len(outcome.maps)}")
-        for f in outcome.maps:
-            lines.append(f"  {_map_line(f)}")
+        for source, target, f in _map_braces(outcome.maps):
+            lines.append(f"  {source} -> {target} = {_brace(_assignment_items(f))}")
     elif isinstance(outcome, CountsOutcome):
         for size, count in enumerate(outcome.counts):
             lines.append(f"  size {size}: {count}")
@@ -654,14 +674,6 @@ def print_result(outcome: Outcome) -> str:
     else:
         raise ValueError(f"not an outcome: {outcome!r}")
     return "\n".join(lines)
-
-
-def _encode_map(f: MonotoneMap) -> dict:
-    return {
-        "source": _brace(_space_items(f.source)),
-        "target": _brace(_space_items(f.target)),
-        "assign": [[a, b] for a, b in f.assignment_by_label()],
-    }
 
 
 def encode_result(outcome: Outcome) -> dict:
@@ -690,7 +702,14 @@ def encode_result(outcome: Outcome) -> dict:
             "format": 1,
             "query": outcome.query,
             "count": len(outcome.maps),
-            "maps": [_encode_map(f) for f in outcome.maps],
+            "maps": [
+                {
+                    "source": source,
+                    "target": target,
+                    "assign": [[a, b] for a, b in f.assignment_by_label()],
+                }
+                for source, target, f in _map_braces(outcome.maps)
+            ],
         }
     if isinstance(outcome, CountsOutcome):
         return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -21,6 +21,15 @@ DEFAULT_SIZE_CAP = 5
 
 class NotMonotoneError(ValueError):
     """Raised when an assignment between preorders is not order-preserving."""
+
+
+def row_mask(row: Sequence[bool]) -> int:
+    """The bitmask with bit y set exactly when ``row[y]`` is true."""
+    mask = 0
+    for y, related in enumerate(row):
+        if related:
+            mask |= 1 << y
+    return mask
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,14 @@ class FinPreorder:
 
     labels: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
+    # Per-space tables for map validation and the search kernel, built on
+    # first use by strict_pairs and earlier_relations and kept here.
+    _strict_pairs: tuple[tuple[int, int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _earlier_relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -48,15 +65,50 @@ class FinPreorder:
         for x in range(n):
             if not self.leq[x][x]:
                 raise ValueError(f"relation not reflexive at {self.labels[x]!r}")
-        for x in range(n):
-            for y in range(n):
-                if self.leq[x][y]:
-                    for z in range(n):
-                        if self.leq[y][z] and not self.leq[x][z]:
-                            raise ValueError(
-                                "relation not transitive: "
-                                f"{self.labels[x]} <= {self.labels[y]} <= {self.labels[z]}"
-                            )
+        # Transitive iff the row of every y above x lies inside the row of x.
+        # Rows, and the bits inside each row, are read in index order, so
+        # the violation reported is the first (x, y, z) in row-major order.
+        rows = [row_mask(row) for row in self.leq]
+        for x, row_x in enumerate(rows):
+            outside = ~row_x
+            for y, related in enumerate(self.leq[x]):
+                missing = related and rows[y] & outside
+                if missing:
+                    z = (missing & -missing).bit_length() - 1
+                    raise ValueError(
+                        "relation not transitive: "
+                        f"{self.labels[x]} <= {self.labels[y]} <= {self.labels[z]}"
+                    )
+
+    @property
+    def strict_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every (x, y) with x <= y and x != y, in row-major order."""
+        pairs = self._strict_pairs
+        if pairs is None:
+            pairs = tuple(
+                (x, y)
+                for x, row in enumerate(self.leq)
+                for y, related in enumerate(row)
+                if related and x != y
+            )
+            object.__setattr__(self, "_strict_pairs", pairs)
+        return pairs
+
+    @property
+    def earlier_relations(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """For each x, the earlier indices p < x with p <= x, then those with x <= p."""
+        table = self._earlier_relations
+        if table is None:
+            leq = self.leq
+            table = tuple(
+                (
+                    tuple(p for p in range(x) if leq[p][x]),
+                    tuple(p for p in range(x) if leq[x][p]),
+                )
+                for x in range(len(leq))
+            )
+            object.__setattr__(self, "_earlier_relations", table)
+        return table
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -109,19 +161,30 @@ class MonotoneMap:
     assign: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n, m = len(self.source), len(self.target)
-        if len(self.assign) != n:
-            raise ValueError(f"assignment has {len(self.assign)} entries, source has {n}")
-        for v in self.assign:
+        source, target, assign = self.source, self.target, self.assign
+        n, m = len(source.labels), len(target.labels)
+        if len(assign) != n:
+            raise ValueError(f"assignment has {len(assign)} entries, source has {n}")
+        for v in assign:
             if not 0 <= v < m:
                 raise ValueError(f"assignment value {v} outside target of size {m}")
-        for x in range(n):
-            for y in range(n):
-                if self.source.leq[x][y] and not self.target.leq[self.assign[x]][self.assign[y]]:
+        # Reflexive pairs hold because the target is reflexive, so only the
+        # strict pairs need checking.
+        t_leq = target.leq
+        for x, y in source.strict_pairs:
+            if not t_leq[assign[x]][assign[y]]:
+                self._raise_first_violation()
+
+    def _raise_first_violation(self) -> None:
+        """Raise NotMonotoneError naming the first violated pair in row-major order."""
+        s_leq, t_leq, assign = self.source.leq, self.target.leq, self.assign
+        for x in range(len(s_leq)):
+            for y in range(len(s_leq)):
+                if s_leq[x][y] and not t_leq[assign[x]][assign[y]]:
                     raise NotMonotoneError(
                         f"{self.source.labels[x]} <= {self.source.labels[y]} but "
-                        f"{self.target.labels[self.assign[x]]} !<= "
-                        f"{self.target.labels[self.assign[y]]}"
+                        f"{self.target.labels[assign[x]]} !<= "
+                        f"{self.target.labels[assign[y]]}"
                     )
 
     def __call__(self, x: int) -> int:
@@ -140,19 +203,16 @@ class MonotoneMap:
 def transitive_reflexive_closure(
     n: int, pairs: list[tuple[int, int]]
 ) -> tuple[tuple[bool, ...], ...]:
-    """Warshall closure of the given generating pairs over n elements."""
-    rel = [[x == y for y in range(n)] for x in range(n)]
+    """Warshall closure of the given generating pairs over n elements, on row bitmasks."""
+    rows = [1 << x for x in range(n)]
     for x, y in pairs:
-        rel[x][y] = True
+        rows[x] |= 1 << y
     for k in range(n):
-        row_k = rel[k]
+        bit, row_k = 1 << k, rows[k]
         for x in range(n):
-            if rel[x][k]:
-                row_x = rel[x]
-                for y in range(n):
-                    if row_k[y]:
-                        row_x[y] = True
-    return tuple(tuple(row) for row in rel)
+            if rows[x] & bit:
+                rows[x] |= row_k
+    return tuple(tuple(bool(row >> y & 1) for y in range(n)) for row in rows)
 
 
 def build_space(labels: list[str], generating_pairs: list[tuple[str, str]]) -> FinPreorder:
@@ -218,24 +278,28 @@ def monotone_assignments(
     of candidate iterators, one per placed index, instead of recursing, so
     its depth is not bounded by the interpreter's recursion limit.
     """
-    n = len(source)
+    n = len(source.labels)
     if n == 0:
         yield ()
         return
-    s_leq, t_leq = source.leq, target.leq
+    earlier, t_leq = source.earlier_relations, target.leq
     assign = [0] * n
     stack = [iter(candidates[0])]
     while stack:
         x = len(stack) - 1
+        below, above = earlier[x]
         for v in stack[x]:
-            for p in range(x):
-                if s_leq[p][x] and not t_leq[assign[p]][v]:
-                    break
-                if s_leq[x][p] and not t_leq[v][assign[p]]:
+            for p in below:
+                if not t_leq[assign[p]][v]:
                     break
             else:
-                assign[x] = v
-                break
+                row = t_leq[v]
+                for p in above:
+                    if not row[assign[p]]:
+                        break
+                else:
+                    assign[x] = v
+                    break
         else:
             stack.pop()
             continue
@@ -247,10 +311,10 @@ def monotone_assignments(
 
 def hom_enumerate(source: FinPreorder, target: FinPreorder) -> list[MonotoneMap]:
     """All monotone maps source -> target, in lexicographic-by-assignment order."""
-    values = range(len(target))
+    values = range(len(target.labels))
     return [
         MonotoneMap(source, target, assign)
-        for assign in monotone_assignments(source, target, [values] * len(source))
+        for assign in monotone_assignments(source, target, [values] * len(source.labels))
     ]
 
 

@@ -165,6 +165,16 @@ def test_run_hom_from_1200_point_space(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_run_hom_from_600_point_chain(tmp_path, capsys):
+    # A dense relation: 179,700 strict pairs to close, check and print.
+    chain = ", ".join(f"a{k} < a{k + 1}" for k in range(599))
+    path = program(tmp_path, f"space C = {{ {chain} }}\nhom C PT\n")
+    assert run_cli("run", path) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["hom C PT", "  count 1"]
+    assert captured.err == ""
+
+
 def test_run_empty_program(tmp_path, capsys):
     assert run_cli("run", program(tmp_path, "# nothing here\n")) == 0
     assert capsys.readouterr().out == ""

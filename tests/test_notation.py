@@ -11,10 +11,12 @@ from liftprop import (
     INDISC,
     PT,
     SIERP,
+    TWO,
     VEE,
     MonotoneMap,
     ParseError,
     ValidationError,
+    build_space,
     elaborate,
     encode_result,
     enumerate_preorders,
@@ -36,6 +38,8 @@ from liftprop.notation import (
     MapListOutcome,
     MonoQuery,
     OrthogonalQuery,
+    _brace,
+    _space_items,
 )
 
 
@@ -311,3 +315,64 @@ def test_encode_map_list_and_counts():
         "counts": [1, 1, 4, 29],
         "total": 35,
     }
+
+
+def pairwise_space_items(space):
+    """Brace items by the plain definition: every pair, every middle point."""
+    n = len(space)
+    comp_of = [
+        min(y for y in range(n) if space.leq[x][y] and space.leq[y][x]) for x in range(n)
+    ]
+    items = list(space.labels)
+    reps = sorted(set(comp_of))
+    for rep in reps:
+        members = [x for x in range(n) if comp_of[x] == rep]
+        for a, b in zip(members, members[1:]):
+            items.append(f"{space.labels[a]} <> {space.labels[b]}")
+    for a in reps:
+        for b in reps:
+            if a == b or not space.leq[a][b]:
+                continue
+            if any(c != a and c != b and space.leq[a][c] and space.leq[c][b] for c in reps):
+                continue
+            items.append(f"{space.labels[a]} < {space.labels[b]}")
+    return items
+
+
+def test_space_items_match_pairwise_definition_on_all_small_spaces():
+    for space in enumerate_preorders(4):
+        assert _space_items(space) == pairwise_space_items(space)
+
+
+def test_map_list_output_matches_per_map_printing():
+    sierp_copy = build_space(["b", "s"], [("b", "s")])
+    assert sierp_copy == SIERP and sierp_copy is not SIERP
+    sierp_relabeled = build_space(["u", "v"], [("u", "v")])
+    chain_down = build_space(["b", "s"], [("s", "b")])
+    maps = (
+        MonotoneMap(SIERP, sierp_copy, (0, 1)),
+        MonotoneMap(sierp_copy, SIERP, (1, 1)),
+        MonotoneMap(SIERP, sierp_relabeled, (0, 1)),
+        MonotoneMap(sierp_relabeled, chain_down, (1, 1)),
+        MonotoneMap(TWO, chain_down, (1, 0)),
+        MonotoneMap(chain_down, TWO, (0, 0)),
+        MonotoneMap(SIERP, sierp_copy, (0, 0)),
+    )
+    outcome = MapListOutcome("hom X Y", maps)
+
+    def brace(space):
+        return _brace(pairwise_space_items(space))
+
+    def assign(f):
+        return [[a, b] for a, b in f.assignment_by_label()]
+
+    expected_lines = ["hom X Y", f"  count {len(maps)}"] + [
+        f"  {brace(f.source)} -> {brace(f.target)} = "
+        + _brace([f"{a} |-> {b}" for a, b in f.assignment_by_label()])
+        for f in maps
+    ]
+    assert print_result(outcome) == "\n".join(expected_lines)
+    assert encode_result(outcome)["maps"] == [
+        {"source": brace(f.source), "target": brace(f.target), "assign": assign(f)}
+        for f in maps
+    ]

@@ -33,6 +33,7 @@ from liftprop import (
     to_point,
 )
 from liftprop.lifting import Universe
+from liftprop.preorder import monotone_assignments
 
 
 def naive_closure(n, pairs):
@@ -391,3 +392,108 @@ def test_to_point_collapses_everything(n):
     space = enumerate_preorders(3)[0] if n == 0 else build_space([f"x{k}" for k in range(n)], [])
     f = to_point(space)
     assert set(f.assign) <= {0}
+
+
+SPACES_UP_TO_4 = enumerate_preorders(4)
+
+
+def brute_force_validation_error(source, target, assign):
+    """The first error a row-major check of every pair raises, or None."""
+    n, m = len(source.labels), len(target.labels)
+    if len(assign) != n:
+        return ValueError(f"assignment has {len(assign)} entries, source has {n}")
+    for v in assign:
+        if not 0 <= v < m:
+            return ValueError(f"assignment value {v} outside target of size {m}")
+    for x in range(n):
+        for y in range(n):
+            if source.leq[x][y] and not target.leq[assign[x]][assign[y]]:
+                return NotMonotoneError(
+                    f"{source.labels[x]} <= {source.labels[y]} but "
+                    f"{target.labels[assign[x]]} !<= {target.labels[assign[y]]}"
+                )
+    return None
+
+
+@given(
+    source=st.sampled_from(SPACES_UP_TO_4),
+    target=st.sampled_from(SPACES_UP_TO_4),
+    data=st.data(),
+)
+def test_validation_matches_row_major_brute_force(source, target, data):
+    n, m = len(source), len(target)
+    assign = tuple(
+        data.draw(st.lists(st.integers(-1, m), min_size=max(n - 1, 0), max_size=n + 1))
+        if data.draw(st.booleans())
+        else data.draw(st.lists(st.integers(0, max(m - 1, 0)), min_size=n, max_size=n))
+    )
+    expected = brute_force_validation_error(source, target, assign)
+    if expected is None:
+        assert MonotoneMap(source, target, assign).assign == assign
+    else:
+        with pytest.raises(ValueError) as caught:
+            MonotoneMap(source, target, assign)
+        assert type(caught.value) is type(expected)
+        assert str(caught.value) == str(expected)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+)
+def test_transitivity_error_names_first_row_major_violation(n, data):
+    leq = tuple(
+        tuple(x == y or data.draw(st.booleans()) for y in range(n)) for x in range(n)
+    )
+    labels = tuple(f"x{k}" for k in range(n))
+    violation = next(
+        (
+            (x, y, z)
+            for x in range(n)
+            for y in range(n)
+            for z in range(n)
+            if leq[x][y] and leq[y][z] and not leq[x][z]
+        ),
+        None,
+    )
+    if violation is None:
+        assert FinPreorder(labels, leq).strict_pairs == tuple(
+            (x, y) for x in range(n) for y in range(n) if x != y and leq[x][y]
+        )
+    else:
+        x, y, z = violation
+        with pytest.raises(ValueError) as caught:
+            FinPreorder(labels, leq)
+        assert str(caught.value) == f"relation not transitive: x{x} <= x{y} <= x{z}"
+
+
+@given(
+    source=st.sampled_from(SPACES_UP_TO_4),
+    target=st.sampled_from(SPACES_UP_TO_4),
+    data=st.data(),
+)
+def test_monotone_assignments_is_the_filtered_product(source, target, data):
+    n, m = len(source), len(target)
+    candidates = [
+        data.draw(st.lists(st.integers(0, m - 1), max_size=m + 1)) if m else []
+        for _ in range(n)
+    ]
+    expected = [
+        assign
+        for assign in itertools.product(*candidates)
+        if all(
+            target.leq[assign[x]][assign[y]]
+            for x in range(n)
+            for y in range(n)
+            if source.leq[x][y]
+        )
+    ]
+    assert list(monotone_assignments(source, target, candidates)) == expected
+
+
+def test_tables_are_not_part_of_equality_or_repr():
+    fresh = build_space(["b", "s"], [("b", "s")])
+    assert fresh.strict_pairs == ((0, 1),)
+    assert fresh.earlier_relations == (((), ()), ((0,), ()))
+    assert fresh == SIERP and hash(fresh) == hash(SIERP)
+    assert repr(fresh) == repr(SIERP) == "FinPreorder([b, s]; b<=s)"
