@@ -44,8 +44,11 @@ class FinPreorder:
     labels: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     # Per-space tables for map validation and the search kernel, built on
-    # first use by strict_pairs and earlier_relations and kept here.
-    _strict_pairs: tuple[tuple[int, int], ...] | None = field(
+    # first use by strict_above and earlier_relations and kept here.  They
+    # are declared fields rather than functools.cached_property, which
+    # reads the instance __dict__ and so makes CPython allocate a dict
+    # object for every space that builds a table.
+    _strict_above: tuple[tuple[int, tuple[int, ...]], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _earlier_relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = field(
@@ -81,18 +84,23 @@ class FinPreorder:
                     )
 
     @property
-    def strict_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Every (x, y) with x <= y and x != y, in row-major order."""
-        pairs = self._strict_pairs
-        if pairs is None:
-            pairs = tuple(
-                (x, y)
-                for x, row in enumerate(self.leq)
-                for y, related in enumerate(row)
-                if related and x != y
-            )
-            object.__setattr__(self, "_strict_pairs", pairs)
-        return pairs
+    def strict_above(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(x, ys) for each x below some other point: every y != x with x <= y.
+
+        Both x and the ys are in index order, so the pairs (x, y) come in
+        row-major order.
+        """
+        table = self._strict_above
+        if table is None:
+            points = tuple(range(len(self.leq)))
+            rows = []
+            for x, row in enumerate(self.leq):
+                above = tuple(y for y in itertools.compress(points, row) if y != x)
+                if above:
+                    rows.append((x, above))
+            table = tuple(rows)
+            object.__setattr__(self, "_strict_above", table)
+        return table
 
     @property
     def earlier_relations(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -169,22 +177,16 @@ class MonotoneMap:
             if not 0 <= v < m:
                 raise ValueError(f"assignment value {v} outside target of size {m}")
         # Reflexive pairs hold because the target is reflexive, so only the
-        # strict pairs need checking.
+        # strict pairs need checking.  They are visited in row-major order,
+        # so the first that fails is the first violation in that order.
         t_leq = target.leq
-        for x, y in source.strict_pairs:
-            if not t_leq[assign[x]][assign[y]]:
-                self._raise_first_violation()
-
-    def _raise_first_violation(self) -> None:
-        """Raise NotMonotoneError naming the first violated pair in row-major order."""
-        s_leq, t_leq, assign = self.source.leq, self.target.leq, self.assign
-        for x in range(len(s_leq)):
-            for y in range(len(s_leq)):
-                if s_leq[x][y] and not t_leq[assign[x]][assign[y]]:
+        for x, above in source.strict_above:
+            row = t_leq[assign[x]]
+            for y in above:
+                if not row[assign[y]]:
                     raise NotMonotoneError(
-                        f"{self.source.labels[x]} <= {self.source.labels[y]} but "
-                        f"{self.target.labels[assign[x]]} !<= "
-                        f"{self.target.labels[assign[y]]}"
+                        f"{source.labels[x]} <= {source.labels[y]} but "
+                        f"{target.labels[assign[x]]} !<= {target.labels[assign[y]]}"
                     )
 
     def __call__(self, x: int) -> int:
