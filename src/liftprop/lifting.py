@@ -56,7 +56,7 @@ class HomCache:
         return maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Square:
     """A commuting square: left f: A->B, right g: X->Y, top i: A->X, bottom j: B->Y."""
 
@@ -66,14 +66,21 @@ class Square:
     bottom: MonotoneMap
 
     def __post_init__(self) -> None:
+        # Endpoints are usually the very same space objects, so identity is
+        # tested before the full comparison of labels and relation.
         f, g, i, j = self.left, self.right, self.top, self.bottom
-        if i.source != f.source or i.target != g.source:
+        if (i.source is not f.source and i.source != f.source) or (
+            i.target is not g.source and i.target != g.source
+        ):
             raise ValueError("top map must go from the left source to the right source")
-        if j.source != f.target or j.target != g.target:
+        if (j.source is not f.target and j.source != f.target) or (
+            j.target is not g.target and j.target != g.target
+        ):
             raise ValueError("bottom map must go from the left target to the right target")
-        for a in range(len(f.source.labels)):
-            if g.assign[i.assign[a]] != j.assign[f.assign[a]]:
-                raise ValueError(f"square does not commute at {f.source.labels[a]!r}")
+        g_assign, j_assign = g.assign, j.assign
+        for label, x, b in zip(f.source.labels, i.assign, f.assign):
+            if g_assign[x] != j_assign[b]:
+                raise ValueError(f"square does not commute at {label!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,9 @@ def find_diagonal(square: Square) -> MonotoneMap | None:
     Values on the image of f are forced by the top triangle, so they are
     propagated first and two different forced values end the search at
     once.  Every other point b ranges over the fibre of g over j(b), and
-    monotone_assignments searches those candidates.
+    monotone_assignments searches those candidates.  A point left with no
+    candidate (a forced value outside the fibre, or an empty fibre) also
+    ends the search before it starts.
     """
     f, g, i, j = square.left, square.right, square.top, square.bottom
     mid_src, mid_tgt = f.target, g.source
@@ -109,9 +118,14 @@ def find_diagonal(square: Square) -> MonotoneMap | None:
     for b, y in enumerate(j.assign):
         x = forced[b]
         if x is None:
-            candidates.append([v for v, gv in enumerate(g_assign) if gv == y])
+            fibre = [v for v, gv in enumerate(g_assign) if gv == y]
+            if not fibre:
+                return None
+            candidates.append(fibre)
+        elif g_assign[x] == y:
+            candidates.append((x,))
         else:
-            candidates.append((x,) if g_assign[x] == y else ())
+            return None
     assign = next(monotone_assignments(mid_src, mid_tgt, candidates), None)
     return None if assign is None else MonotoneMap(mid_src, mid_tgt, assign)
 

@@ -33,7 +33,6 @@ from .preorder import (
     MonotoneMap,
     NotMonotoneError,
     build_space,
-    row_mask,
 )
 
 BUILTIN_SPACES = {
@@ -521,12 +520,11 @@ def _space_items(space: FinPreorder) -> list[str]:
     Depends only on the closure, so any two presentations of the same
     space print identically; re-parsing restores label order from the
     leading bare items and the closure from the generators.  The relation
-    is read as row and column bitmasks, so a cover test is one mask
-    intersection rather than a scan over every point.
+    is read as the space's row and column bitmasks, so a cover test is one
+    mask intersection rather than a scan over every point.
     """
     leq = space.leq
-    ups = [row_mask(row) for row in leq]
-    downs = [row_mask(column) for column in zip(*leq)]
+    ups, downs = space.order_masks
     # Each point's class, keyed by its least member; keys arrive ascending.
     classes: dict[int, list[int]] = {}
     for x, (up, down) in enumerate(zip(ups, downs)):

@@ -44,9 +44,9 @@ class FinPreorder:
     labels: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     # Per-space tables for map validation and the search kernel, built on
-    # first use by strict_above and earlier_relations and kept here.  They
-    # are declared fields rather than functools.cached_property, which
-    # reads the instance __dict__ and so makes CPython allocate a dict
+    # first use by strict_above, earlier_relations and order_masks and kept
+    # here.  They are declared fields rather than functools.cached_property,
+    # which reads the instance __dict__ and so makes CPython allocate a dict
     # object for every space that builds a table.
     _strict_above: tuple[tuple[int, tuple[int, ...]], ...] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -54,6 +54,13 @@ class FinPreorder:
     _earlier_relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _order_masks: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # The dataclass hash, hash((labels, leq)), kept after its first use:
+    # tuples do not cache their hash, and HomCache hashes its space keys on
+    # every lookup.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -118,6 +125,25 @@ class FinPreorder:
             object.__setattr__(self, "_earlier_relations", table)
         return table
 
+    @property
+    def order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(up, down): bit w of up[v] is set when v <= w, of down[v] when w <= v."""
+        table = self._order_masks
+        if table is None:
+            leq = self.leq
+            up = tuple(row_mask(row) for row in leq)
+            down = tuple(row_mask(column) for column in zip(*leq))
+            table = (up, down)
+            object.__setattr__(self, "_order_masks", table)
+        return table
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.labels, self.leq))
+            object.__setattr__(self, "_hash", value)
+        return value
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -156,7 +182,7 @@ class FinPreorder:
         return f"FinPreorder([{', '.join(self.labels)}]; {', '.join(strict) or 'discrete'})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneMap:
     """An order-preserving total function between two finite preorders.
 
@@ -275,40 +301,50 @@ def monotone_assignments(
 
     Assignments come out as tuples in lexicographic order, taking each
     ``candidates[x]`` in its given order.  Source indices are placed in
-    order, and a value is rejected as soon as it breaks monotonicity against
-    an already-placed comparable index.  The search keeps an explicit stack
+    order.  On reaching index x the search intersects the target's up and
+    down row masks of the values at the earlier comparable indices, so each
+    candidate for x costs one bit test.  The search keeps an explicit stack
     of candidate iterators, one per placed index, instead of recursing, so
-    its depth is not bounded by the interpreter's recursion limit.
+    its depth is not bounded by the interpreter's recursion limit; the last
+    index is placed in one loop over its candidates.
     """
     n = len(source.labels)
     if n == 0:
         yield ()
         return
-    earlier, t_leq = source.earlier_relations, target.leq
+    earlier = source.earlier_relations
+    up, down = target.order_masks
+    last = n - 1
     assign = [0] * n
-    stack = [iter(candidates[0])]
-    while stack:
-        x = len(stack) - 1
+    stack: list[tuple[Iterator[int], int]] = []
+    x = 0
+    while True:
         below, above = earlier[x]
-        for v in stack[x]:
-            for p in below:
-                if not t_leq[assign[p]][v]:
+        allowed = -1
+        for p in below:
+            allowed &= up[assign[p]]
+        for p in above:
+            allowed &= down[assign[p]]
+        if x < last:
+            stack.append((iter(candidates[x]), allowed))
+        else:
+            for v in candidates[x]:
+                if allowed >> v & 1:
+                    assign[x] = v
+                    yield tuple(assign)
+        while stack:
+            values, allowed = stack[-1]
+            for v in values:
+                if allowed >> v & 1:
                     break
             else:
-                row = t_leq[v]
-                for p in above:
-                    if not row[assign[p]]:
-                        break
-                else:
-                    assign[x] = v
-                    break
+                stack.pop()
+                continue
+            x = len(stack)
+            assign[x - 1] = v
+            break
         else:
-            stack.pop()
-            continue
-        if x + 1 == n:
-            yield tuple(assign)
-        else:
-            stack.append(iter(candidates[x + 1]))
+            return
 
 
 def hom_enumerate(source: FinPreorder, target: FinPreorder) -> list[MonotoneMap]:

@@ -49,6 +49,31 @@ def test_square_requires_matching_endpoints():
         Square(CODIAG, CODIAG, identity(TWO), CODIAG)
 
 
+def test_square_accepts_equal_but_distinct_endpoint_spaces():
+    sierp, pt = build_space(["b", "s"], [("b", "s")]), build_space(["pt"], [])
+    assert sierp == SIERP and sierp is not SIERP and pt == PT and pt is not PT
+    top, bottom = MonotoneMap(sierp, pt, (0, 0)), identity(pt)
+    square = Square(SIERP_TO_PT, identity(PT), top, bottom)
+    assert square.top is top and square.bottom is bottom
+
+
+OTHER_PT = build_space(["q"], [])
+
+
+@pytest.mark.parametrize(
+    "top, bottom, message",
+    [
+        (MonotoneMap(build_space(["b", "s"], []), PT, (0, 0)), identity(PT), "top map"),
+        (MonotoneMap(SIERP, OTHER_PT, (0, 0)), identity(PT), "top map"),
+        (SIERP_TO_PT, MonotoneMap(OTHER_PT, PT, (0,)), "bottom map"),
+        (SIERP_TO_PT, MonotoneMap(PT, OTHER_PT, (0,)), "bottom map"),
+    ],
+)
+def test_square_rejects_unequal_endpoints_of_the_same_size(top, bottom, message):
+    with pytest.raises(ValueError, match=message):
+        Square(SIERP_TO_PT, identity(PT), top, bottom)
+
+
 def test_square_requires_commutativity():
     left = MonotoneMap(PT, TWO, (0,))
     right = identity(TWO)

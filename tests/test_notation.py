@@ -1,8 +1,10 @@
 """Parser, canonical printer, and result encoding."""
 
 import json
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftprop import (
     CODIAG,
@@ -178,6 +180,25 @@ def test_space_round_trip_is_exact_up_to_size_3():
         env = elaborate(parse(text))
         assert env.spaces["S"] == space
         assert print_space(env.spaces["S"], "S") == text
+
+
+@st.composite
+def labeled_preorders(draw, min_size=4, max_size=10):
+    """A preorder with arbitrary legal labels: the closure of random pairs."""
+    n = draw(st.integers(min_size, max_size))
+    label = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=3)
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    return build_space(labels, draw(st.lists(pair, max_size=2 * n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=labeled_preorders())
+def test_space_round_trip_is_exact_on_random_larger_spaces(space):
+    text = print_space(space, "S")
+    env = elaborate(parse(text))
+    assert env.spaces["S"] == space
+    assert print_space(env.spaces["S"], "S") == text
 
 
 def test_print_space_is_presentation_insensitive():

@@ -4,10 +4,11 @@ Every enumeration result is cross-checked against a naive brute-force
 oracle implemented here, independent of the library's search code.
 """
 
+import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liftprop import (
     EMPTY,
@@ -19,6 +20,7 @@ from liftprop import (
     FinPreorder,
     MonotoneMap,
     NotMonotoneError,
+    Square,
     build_space,
     codiagonal,
     compose,
@@ -467,17 +469,28 @@ def test_transitivity_error_names_first_row_major_violation(n, data):
         assert str(caught.value) == f"relation not transitive: x{x} <= x{y} <= x{z}"
 
 
-@given(
-    source=st.sampled_from(SPACES_UP_TO_4),
-    target=st.sampled_from(SPACES_UP_TO_4),
-    data=st.data(),
-)
+@st.composite
+def small_preorders(draw, max_size=5):
+    """A preorder on up to max_size points: the closure of random pairs."""
+    n = draw(st.integers(0, max_size))
+    labels = [f"p{k}" for k in range(n)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=2 * n)) if n else []
+    return build_space(labels, pairs)
+
+
+def candidate_lists(m):
+    """Candidate values in [0, m): random lists, or a shuffled range with repeats."""
+    return st.one_of(
+        st.lists(st.integers(0, m - 1), max_size=m + 2),
+        st.permutations(range(m)).map(lambda order: list(order) + list(order[:2])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=small_preorders(), target=small_preorders(), data=st.data())
 def test_monotone_assignments_is_the_filtered_product(source, target, data):
     n, m = len(source), len(target)
-    candidates = [
-        data.draw(st.lists(st.integers(0, m - 1), max_size=m + 1)) if m else []
-        for _ in range(n)
-    ]
+    candidates = [data.draw(candidate_lists(m)) if m else [] for _ in range(n)]
     expected = [
         assign
         for assign in itertools.product(*candidates)
@@ -493,7 +506,30 @@ def test_monotone_assignments_is_the_filtered_product(source, target, data):
 
 def test_tables_are_not_part_of_equality_or_repr():
     fresh = build_space(["b", "s"], [("b", "s")])
+    unhashed = build_space(["b", "s"], [("b", "s")])
     assert fresh.strict_above == ((0, (1,)),)
     assert fresh.earlier_relations == (((), ()), ((0,), ()))
+    assert fresh.order_masks == ((0b11, 0b10), (0b01, 0b11))
     assert fresh == SIERP and hash(fresh) == hash(SIERP)
+    assert fresh == unhashed and unhashed._hash is None and fresh._hash is not None
     assert repr(fresh) == repr(SIERP) == "FinPreorder([b, s]; b<=s)"
+
+
+def test_space_hash_is_the_hash_of_labels_and_relation():
+    for space in (EMPTY, PT, SIERP, INDISC, VEE):
+        copy = FinPreorder(space.labels, space.leq)
+        expected = hash((space.labels, space.leq))
+        assert copy is not space
+        assert hash(space) == hash(copy) == expected
+        assert hash(copy) == expected  # the kept value
+    assert hash(SIERP) != hash(build_space(["b", "s"], []))
+
+
+def test_maps_and_squares_are_slotted_and_frozen():
+    f = to_point(SIERP)
+    square = Square(f, identity(PT), f, identity(PT))
+    for value, attr in ((f, "assign"), (square, "top")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, None)
+    assert f.assign == (0, 0) and square.top is f
