@@ -32,7 +32,7 @@ def row_mask(row: Sequence[bool]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinPreorder:
     """A finite preorder: ordered labels plus a reflexive-transitive relation.
 
@@ -45,9 +45,9 @@ class FinPreorder:
     leq: tuple[tuple[bool, ...], ...]
     # Per-space tables for map validation and the search kernel, built on
     # first use by strict_above, earlier_relations and order_masks and kept
-    # here.  They are declared fields rather than functools.cached_property,
-    # which reads the instance __dict__ and so makes CPython allocate a dict
-    # object for every space that builds a table.
+    # here.  The class is slotted, so each table costs only its own size.
+    # Without slots, CPython 3.11 gives a space made before these names were
+    # first set a dict of its own (about 240 B) once it sets two of them.
     _strict_above: tuple[tuple[int, tuple[int, ...]], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )

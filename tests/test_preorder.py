@@ -525,10 +525,10 @@ def test_space_hash_is_the_hash_of_labels_and_relation():
     assert hash(SIERP) != hash(build_space(["b", "s"], []))
 
 
-def test_maps_and_squares_are_slotted_and_frozen():
+def test_spaces_maps_and_squares_are_slotted_and_frozen():
     f = to_point(SIERP)
     square = Square(f, identity(PT), f, identity(PT))
-    for value, attr in ((f, "assign"), (square, "top")):
+    for value, attr in ((SIERP, "leq"), (f, "assign"), (square, "top")):
         assert not hasattr(value, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, attr, None)
