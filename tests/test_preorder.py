@@ -474,8 +474,10 @@ def small_preorders(draw, max_size=5):
     """A preorder on up to max_size points: the closure of random pairs."""
     n = draw(st.integers(0, max_size))
     labels = [f"p{k}" for k in range(n)]
-    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=2 * n)) if n else []
-    return build_space(labels, pairs)
+    if not n:
+        return build_space([], [])
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    return build_space(labels, draw(st.lists(pair, max_size=2 * n)))
 
 
 def candidate_lists(m):
