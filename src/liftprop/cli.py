@@ -166,19 +166,25 @@ def _emit(outcome: Outcome, machine: bool, out) -> None:
 def run_file(path: str, machine: bool = False, out=None) -> int:
     """Parse, validate, and execute a program file; returns the exit status."""
     out = sys.stdout if out is None else out
-    text = Path(path).read_text(encoding="utf-8")
-    program = parse(text)
+    program = parse(_read_program(path))
     env = elaborate(program)
     for query in program.queries:
         _emit(execute_query(query, env), machine, out)
     return 0
 
 
+def _read_program(path: str) -> str:
+    """The text of a program file; a file that is not UTF-8 is bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
 def _load_env(input_path: str | None) -> Env:
     if input_path is None:
         return Env(dict(BUILTIN_SPACES), dict(BUILTIN_MAPS))
-    program = parse(Path(input_path).read_text(encoding="utf-8"))
-    return elaborate(program)
+    return elaborate(parse(_read_program(input_path)))
 
 
 def _require_space(env: Env, name: str) -> None:

@@ -10,8 +10,8 @@ universe, mono/epi tests, and the self-lifting scan.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
+from ._value import Value
 from .oracles import is_injective
 from .preorder import (
     CODIAG,
@@ -56,14 +56,21 @@ class HomCache:
         return maps
 
 
-@dataclass(frozen=True, slots=True)
-class Square:
+class Square(Value):
     """A commuting square: left f: A->B, right g: X->Y, top i: A->X, bottom j: B->Y."""
 
+    __slots__ = ("left", "right", "top", "bottom")
     left: MonotoneMap
     right: MonotoneMap
     top: MonotoneMap
     bottom: MonotoneMap
+
+    def __init__(self, left, right, top, bottom) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_top(self, top)
+        _set_bottom(self, bottom)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # Endpoints are usually the very same space objects, so identity is
@@ -83,14 +90,17 @@ class Square:
                 raise ValueError(f"square does not commute at {label!r}")
 
 
-@dataclass(frozen=True)
-class LiftResult:
+_set_left, _set_right, _set_top, _set_bottom = Square._setters
+
+
+class LiftResult(Value):
     """Outcome of a lifting query.
 
     ``counterexample`` is present exactly when the property fails; it is a
     commuting square admitting no diagonal.
     """
 
+    __slots__ = ("holds", "counterexample")
     holds: bool
     counterexample: Square | None
 
@@ -215,10 +225,10 @@ def characterize(name: str, arg, cache: HomCache | None = None) -> LiftResult:
     return _lift_all(((pair, to_point(VEE)) for pair in injective_pairs), cache)
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Value):
     """All labeled spaces up to max_size and all monotone maps between them."""
 
+    __slots__ = ("max_size", "spaces", "maps")
     max_size: int
     spaces: tuple[FinPreorder, ...]
     maps: tuple[MonotoneMap, ...]

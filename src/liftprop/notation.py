@@ -13,8 +13,8 @@ well-formed file can still fail validation with a named diagnostic.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .lifting import PROPERTY_IDS, SPACE_PROPERTIES, LiftResult
 from .preorder import (
     CODIAG,
@@ -77,8 +77,8 @@ class ValidationError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Value):
+    __slots__ = ("kind", "text", "line", "col")
     kind: str
     text: str
     line: int
@@ -139,86 +139,79 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class SpaceDecl:
+class _Node(Value):
+    """A declaration or query: its trailing line and col fields say where it
+    starts in the source, default to 0, and take no part in equality."""
+
+    __slots__ = ()
+    _defaults = (0, 0)
+    _uncompared = ("line", "col")
+    line: int
+    col: int
+
+
+class SpaceDecl(_Node):
+    __slots__ = ("name", "labels", "generators", "line", "col")
     name: str
     labels: tuple[str, ...]
     generators: tuple[tuple[str, str], ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class MapDecl:
+class MapDecl(_Node):
+    __slots__ = ("name", "source", "target", "pairs", "line", "col")
     name: str
     source: str
     target: str
     pairs: tuple[tuple[str, str], ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class LiftQuery:
+class LiftQuery(_Node):
+    __slots__ = ("left", "right", "line", "col")
     left: str
     right: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class CheckQuery:
+class CheckQuery(_Node):
+    __slots__ = ("prop", "arg", "line", "col")
     prop: str
     arg: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class OrthogonalQuery:
+class OrthogonalQuery(_Node):
+    __slots__ = ("side", "tests", "size", "line", "col")
     side: str
     tests: tuple[str, ...]
     size: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class MonoQuery:
+class MonoQuery(_Node):
+    __slots__ = ("name", "size", "line", "col")
     name: str
     size: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class EpiQuery:
+class EpiQuery(_Node):
+    __slots__ = ("name", "size", "line", "col")
     name: str
     size: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class HomQuery:
+class HomQuery(_Node):
+    __slots__ = ("source", "target", "line", "col")
     source: str
     target: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class EnumerateQuery:
+class EnumerateQuery(_Node):
+    __slots__ = ("size", "line", "col")
     size: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 Query = LiftQuery | CheckQuery | OrthogonalQuery | MonoQuery | EpiQuery | HomQuery | EnumerateQuery
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
+    __slots__ = ("declarations", "queries")
     declarations: tuple[SpaceDecl | MapDecl, ...]
     queries: tuple[Query, ...]
 
@@ -478,10 +471,16 @@ def parse(text: str) -> Program:
     return _Parser(text).parse_program()
 
 
-@dataclass
-class Env:
-    """Named spaces and maps in scope: built-ins plus elaborated declarations."""
+class Env(Value):
+    """Named spaces and maps in scope: built-ins plus elaborated declarations.
 
+    Unlike the other values, an environment is mutable and unhashable.
+    """
+
+    __slots__ = ("spaces", "maps")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     spaces: dict[str, FinPreorder]
     maps: dict[str, MonotoneMap]
 
@@ -602,26 +601,26 @@ def print_query(query: Query) -> str:
     raise ValueError(f"not a query node: {query!r}")
 
 
-@dataclass(frozen=True)
-class LiftOutcome:
+class LiftOutcome(Value):
     """Result of a lift, check, mono, or epi query."""
 
+    __slots__ = ("query", "result")
     query: str
     result: LiftResult
 
 
-@dataclass(frozen=True)
-class MapListOutcome:
+class MapListOutcome(Value):
     """Result of an orthogonal or hom query."""
 
+    __slots__ = ("query", "maps")
     query: str
     maps: tuple[MonotoneMap, ...]
 
 
-@dataclass(frozen=True)
-class CountsOutcome:
+class CountsOutcome(Value):
     """Result of an enumerate query: counts per carrier size 0..n."""
 
+    __slots__ = ("query", "counts")
     query: str
     counts: tuple[int, ...]
 

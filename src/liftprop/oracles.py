@@ -7,8 +7,7 @@ components) without going through any lifting problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .preorder import FinPreorder, MonotoneMap
 
 
@@ -20,14 +19,14 @@ def is_injective(f: MonotoneMap) -> bool:
     return len(set(f.assign)) == len(f.assign)
 
 
-@dataclass(frozen=True)
-class Pi0Partition:
+class Pi0Partition(Value):
     """Partition of a space into connected components.
 
     ``component_of[x]`` is the component id of point x; ids are assigned by
     first occurrence, so component 0 contains the lowest-indexed point.
     """
 
+    __slots__ = ("space", "component_of", "component_count")
     space: FinPreorder
     component_of: tuple[int, ...]
     component_count: int

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+
+from ._value import Value
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -32,8 +33,7 @@ def row_mask(row: Sequence[bool]) -> int:
     return mask
 
 
-@dataclass(frozen=True, slots=True)
-class FinPreorder:
+class FinPreorder(Value):
     """A finite preorder: ordered labels plus a reflexive-transitive relation.
 
     ``leq[x][y]`` means x <= y, indices into ``labels``.  The empty carrier
@@ -41,26 +41,25 @@ class FinPreorder:
     a closed relation.
     """
 
+    # After the two fields come per-space tables for map validation and the
+    # search kernel, built on first use by strict_above, earlier_relations
+    # and order_masks and kept here, and the hash, hash((labels, leq)), kept
+    # after its first use: tuples do not cache their hash, and HomCache
+    # hashes its space keys on every lookup.  None of them takes part in
+    # equality or repr.  The class is slotted, so each table costs only its
+    # own size.
+    __slots__ = ("labels", "leq", "_strict_above", "_earlier_relations", "_order_masks", "_hash")
     labels: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
-    # Per-space tables for map validation and the search kernel, built on
-    # first use by strict_above, earlier_relations and order_masks and kept
-    # here.  The class is slotted, so each table costs only its own size.
-    # Without slots, CPython 3.11 gives a space made before these names were
-    # first set a dict of its own (about 240 B) once it sets two of them.
-    _strict_above: tuple[tuple[int, tuple[int, ...]], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _earlier_relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _order_masks: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # The dataclass hash, hash((labels, leq)), kept after its first use:
-    # tuples do not cache their hash, and HomCache hashes its space keys on
-    # every lookup.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(self, labels: tuple[str, ...], leq: tuple[tuple[bool, ...], ...]) -> None:
+        _set_labels(self, labels)
+        _set_leq(self, leq)
+        _set_strict_above(self, None)
+        _set_earlier_relations(self, None)
+        _set_order_masks(self, None)
+        _set_hash(self, None)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -106,7 +105,7 @@ class FinPreorder:
                 if above:
                     rows.append((x, above))
             table = tuple(rows)
-            object.__setattr__(self, "_strict_above", table)
+            _set_strict_above(self, table)
         return table
 
     @property
@@ -122,7 +121,7 @@ class FinPreorder:
                 )
                 for x in range(len(leq))
             )
-            object.__setattr__(self, "_earlier_relations", table)
+            _set_earlier_relations(self, table)
         return table
 
     @property
@@ -134,14 +133,14 @@ class FinPreorder:
             up = tuple(row_mask(row) for row in leq)
             down = tuple(row_mask(column) for column in zip(*leq))
             table = (up, down)
-            object.__setattr__(self, "_order_masks", table)
+            _set_order_masks(self, table)
         return table
 
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
             value = hash((self.labels, self.leq))
-            object.__setattr__(self, "_hash", value)
+            _set_hash(self, value)
         return value
 
     def __len__(self) -> int:
@@ -182,17 +181,33 @@ class FinPreorder:
         return f"FinPreorder([{', '.join(self.labels)}]; {', '.join(strict) or 'discrete'})"
 
 
-@dataclass(frozen=True, slots=True)
-class MonotoneMap:
+# Stores through the slot descriptors, for the constructor and the lazy
+# tables: cheaper than object.__setattr__, which the frozen base requires
+# otherwise.
+_set_labels, _set_leq, _set_strict_above, _set_earlier_relations, _set_order_masks, _set_hash = (
+    FinPreorder.__dict__[name].__set__ for name in FinPreorder.__slots__
+)
+
+
+class MonotoneMap(Value):
     """An order-preserving total function between two finite preorders.
 
     ``assign[x]`` is the target index of source index x.  The unique map out
     of the empty space has an empty assignment.
     """
 
+    __slots__ = ("source", "target", "assign")
     source: FinPreorder
     target: FinPreorder
     assign: tuple[int, ...]
+
+    def __init__(self, source: FinPreorder, target: FinPreorder, assign: tuple[int, ...]) -> None:
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_assign(self, assign)
+        # Validation is a method of its own so that it can be wrapped on
+        # the class; the benchmark tracer counts map validations that way.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         source, target, assign = self.source, self.target, self.assign
@@ -226,6 +241,9 @@ class MonotoneMap:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{a}|->{b}" for a, b in self.assignment_by_label())
         return f"MonotoneMap({{{pairs}}})"
+
+
+_set_source, _set_target, _set_assign = MonotoneMap._setters
 
 
 def transitive_reflexive_closure(

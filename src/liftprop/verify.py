@@ -9,8 +9,7 @@ their equivalences are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .lifting import (
     HomCache,
     Universe,
@@ -38,8 +37,8 @@ MAP_SUITE_CAP = 3
 STRUCTURE_SIZE = 2
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Value):
+    __slots__ = ("suite", "instances", "mismatches", "first_mismatch")
     suite: str
     instances: int
     mismatches: int

@@ -191,6 +191,16 @@ def test_run_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("run",), ("hom", "PT", "PT", "--input")])
+def test_program_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.lift"
+    path.write_bytes(b"lift CODIAG |> CODIAG\n# caf\xff\n")
+    assert run_cli(*argv, str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte at byte 27)\n"
+
+
 def test_input_declarations_extend_the_builtins(tmp_path, capsys):
     path = program(
         tmp_path,
@@ -248,6 +258,20 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "HOLDS" in result.stdout
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # Each CLI call is a cold process, and dataclasses brings in inspect,
+    # ast and tokenize; the value classes must not need it.
+    code = (
+        "import sys; before = 'dataclasses' in sys.modules; import liftprop.cli; "
+        "print(before, 'dataclasses' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    if result.stdout.startswith("True"):
+        pytest.skip("the interpreter loads dataclasses before liftprop")
+    assert result.stdout == "False False\n"
 
 
 @pytest.mark.skipif(shutil.which("liftprop") is None, reason="script not on PATH")

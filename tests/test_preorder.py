@@ -34,8 +34,26 @@ from liftprop import (
     product,
     to_point,
 )
-from liftprop.lifting import Universe
+from liftprop.lifting import LiftResult, Universe
+from liftprop.notation import (
+    CheckQuery,
+    CountsOutcome,
+    EnumerateQuery,
+    EpiQuery,
+    HomQuery,
+    LiftOutcome,
+    LiftQuery,
+    MapDecl,
+    MapListOutcome,
+    MonoQuery,
+    OrthogonalQuery,
+    Program,
+    SpaceDecl,
+    Token,
+)
+from liftprop.oracles import pi0
 from liftprop.preorder import monotone_assignments
+from liftprop.verify import SuiteReport
 
 
 def naive_closure(n, pairs):
@@ -530,8 +548,57 @@ def test_space_hash_is_the_hash_of_labels_and_relation():
 def test_spaces_maps_and_squares_are_slotted_and_frozen():
     f = to_point(SIERP)
     square = Square(f, identity(PT), f, identity(PT))
-    for value, attr in ((SIERP, "leq"), (f, "assign"), (square, "top")):
-        assert not hasattr(value, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, attr, None)
-    assert f.assign == (0, 0) and square.top is f
+    result = LiftResult(False, square)
+    queries = (
+        LiftQuery("f", "g", 2, 1),
+        CheckQuery("T0", "S", 3, 1),
+        OrthogonalQuery("left", ("f",), 2, 4, 1),
+        MonoQuery("f", 2, 5, 1),
+        EpiQuery("f", 2, 6, 1),
+        HomQuery("S", "PT", 7, 1),
+        EnumerateQuery(3, 8, 1),
+    )
+    values = (
+        SIERP,
+        f,
+        square,
+        result,
+        Universe.build(1),
+        SuiteReport("mono", 4, 0, None),
+        pi0(SIERP),
+        Token("NAME", "S", 1, 7),
+        SpaceDecl("S", ("b", "s"), (("b", "s"),), 1, 1),
+        MapDecl("f", "S", "PT", (("b", "pt"), ("s", "pt")), 2, 1),
+        *queries,
+        Program((), queries),
+        LiftOutcome("lift f |> g", result),
+        MapListOutcome("hom S PT", (f,)),
+        CountsOutcome("enumerate 1", (1, 1)),
+    )
+    for value in values:
+        name = type(value).__name__
+        assert not hasattr(value, "__dict__"), name
+        for attr in (type(value).__slots__[0], "unknown"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, attr, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, attr)
+    assert f.assign == (0, 0) and square.top is f and result.counterexample is square
+
+
+def test_value_equality_ignores_positions_and_respects_class():
+    pairs = (
+        (LiftQuery("f", "g", 3, 4), LiftQuery("f", "g")),
+        (EnumerateQuery(2, 1, 1), EnumerateQuery(2)),
+        (SpaceDecl("S", ("a",), (), 1, 1), SpaceDecl("S", ("a",), (), 9, 9)),
+        (MonoQuery(name="m", size=2, col=5), MonoQuery("m", 2)),
+        (MonotoneMap(SIERP, PT, (0, 0)), to_point(SIERP)),
+    )
+    for located, bare in pairs:
+        assert located == bare and hash(located) == hash(bare)
+    assert MonoQuery(name="m", size=2, col=5).line == 0
+    assert LiftQuery("f", "g") != LiftQuery("f", "h")
+    assert MonoQuery("m", 2) != EpiQuery("m", 2)
+    f = to_point(SIERP)
+    assert f != (f.source, f.target, f.assign) and (f.source, f.target, f.assign) != f
+    assert repr(LiftQuery("f", "g", 3, 4)) == "LiftQuery(left='f', right='g', line=3, col=4)"
