@@ -10,6 +10,7 @@ universe, mono/epi tests, and the self-lifting scan.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import itemgetter
 
 from ._value import Value
 from .oracles import is_injective
@@ -66,16 +67,9 @@ class Square(Value):
     bottom: MonotoneMap
 
     def __init__(self, left, right, top, bottom) -> None:
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_top(self, top)
-        _set_bottom(self, bottom)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         # Endpoints are usually the very same space objects, so identity is
         # tested before the full comparison of labels and relation.
-        f, g, i, j = self.left, self.right, self.top, self.bottom
+        f, g, i, j = left, right, top, bottom
         if (i.source is not f.source and i.source != f.source) or (
             i.target is not g.source and i.target != g.source
         ):
@@ -88,6 +82,10 @@ class Square(Value):
         for label, x, b in zip(f.source.labels, i.assign, f.assign):
             if g_assign[x] != j_assign[b]:
                 raise ValueError(f"square does not commute at {label!r}")
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_top(self, top)
+        _set_bottom(self, bottom)
 
 
 _set_left, _set_right, _set_top, _set_bottom = Square._setters
@@ -105,39 +103,67 @@ class LiftResult(Value):
     counterexample: Square | None
 
 
-def find_diagonal(square: Square) -> MonotoneMap | None:
+# Results are immutable, so every holding check returns this one.
+_HOLDS = LiftResult(True, None)
+
+
+def fibre_table(g: MonotoneMap) -> list[list[int]]:
+    """For each point y of g's target, the points x of its source with g(x) = y, in order."""
+    fibres: list[list[int]] = [[] for _ in g.target.labels]
+    for x, y in enumerate(g.assign):
+        fibres[y].append(x)
+    return fibres
+
+
+def find_diagonal(square: Square, fibres: list[list[int]] | None = None) -> MonotoneMap | None:
     """Lex-least monotone d: B->X with d after f = top and g after d = bottom.
 
     Values on the image of f are forced by the top triangle, so they are
     propagated first and two different forced values end the search at
-    once.  Every other point b ranges over the fibre of g over j(b), and
-    monotone_assignments searches those candidates.  A point left with no
-    candidate (a forced value outside the fibre, or an empty fibre) also
-    ends the search before it starts.
+    once.  A forced value lies in the fibre of g over j(b) already, since
+    the square commutes.  Every other point b ranges over that fibre, read
+    from ``fibres``, the fibre_table of the right map (built here when not
+    given); an empty fibre ends the search before it starts.  When each
+    point is left with one candidate, that assignment is tested for
+    monotonicity directly; otherwise monotone_assignments searches the
+    candidates.
     """
     f, g, i, j = square.left, square.right, square.top, square.bottom
     mid_src, mid_tgt = f.target, g.source
+    if fibres is None:
+        fibres = fibre_table(g)
     forced: list[int | None] = [None] * len(mid_src.labels)
-    for a in range(len(f.source.labels)):
-        b, x = f.assign[a], i.assign[a]
-        if forced[b] is not None and forced[b] != x:
+    for b, x in zip(f.assign, i.assign):
+        if forced[b] is None:
+            forced[b] = x
+        elif forced[b] != x:
             return None
-        forced[b] = x
-    g_assign = g.assign
-    candidates = []
-    for b, y in enumerate(j.assign):
-        x = forced[b]
+    j_assign = j.assign
+    search = False
+    for b, x in enumerate(forced):
         if x is None:
-            fibre = [v for v, gv in enumerate(g_assign) if gv == y]
-            if not fibre:
+            fibre = fibres[j_assign[b]]
+            if len(fibre) == 1:
+                forced[b] = fibre[0]
+            elif fibre:
+                search = True
+            else:
                 return None
-            candidates.append(fibre)
-        elif g_assign[x] == y:
-            candidates.append((x,))
-        else:
+    if search:
+        candidates = [fibres[y] if x is None else (x,) for x, y in zip(forced, j_assign)]
+        assign = next(monotone_assignments(mid_src, mid_tgt, candidates), None)
+        if assign is None:
             return None
-    assign = next(monotone_assignments(mid_src, mid_tgt, candidates), None)
-    return None if assign is None else MonotoneMap(mid_src, mid_tgt, assign)
+    else:
+        # The check MonotoneMap makes, without building a map that fails it.
+        assign = tuple(forced)
+        t_leq = mid_tgt.leq
+        for x, above in mid_src.strict_above:
+            row = t_leq[assign[x]]
+            for y in above:
+                if not row[assign[y]]:
+                    return None
+    return MonotoneMap(mid_src, mid_tgt, assign)
 
 
 def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None) -> LiftResult:
@@ -148,26 +174,35 @@ def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None)
     by their values on the image of f (j after f), each bucket in
     hom_enumerate order, and each top, also in hom_enumerate order, visits
     only the bucket under its g after i; non-commuting pairs are skipped by
-    the index without being looked at.  The commuting squares keep the
+    the index without being looked at.  Both keys are read by one
+    itemgetter call over the points of A in order: a tuple, a bare value
+    when |A| = 1, and () when A is empty.  The commuting squares keep the
     order of a full scan, top map outer and bottom map inner, so the
-    counterexample is that of that scan.  Cost:
-    (|tops| + |bottoms|) * |A| to index, plus one find_diagonal per
-    commuting square visited.
+    counterexample is that of that scan.  The fibres of g are built once,
+    at the first commuting square.  Cost: (|tops| + |bottoms|) * |A| to
+    index, plus one find_diagonal per commuting square visited.
     """
     cache = HomCache() if cache is None else cache
     tops = cache.hom(f.source, g.source)
     bottoms = cache.hom(f.target, g.target)
     f_assign, g_assign = f.assign, g.assign
-    by_image: dict[tuple[int, ...], list[MonotoneMap]] = {}
-    for j in bottoms:
-        j_assign = j.assign
-        by_image.setdefault(tuple([j_assign[b] for b in f_assign]), []).append(j)
+    by_image: dict = {}
+    if f_assign:
+        key = itemgetter(*f_assign)
+        for j in bottoms:
+            by_image.setdefault(key(j.assign), []).append(j)
+    else:
+        by_image[()] = bottoms
+    fibres = None
     for i in tops:
-        for j in by_image.get(tuple([g_assign[x] for x in i.assign]), ()):
+        points = i.assign
+        for j in by_image.get(itemgetter(*points)(g_assign) if points else (), ()):
+            if fibres is None:
+                fibres = fibre_table(g)
             square = Square(f, g, i, j)
-            if find_diagonal(square) is None:
+            if find_diagonal(square, fibres) is None:
                 return LiftResult(False, square)
-    return LiftResult(True, None)
+    return _HOLDS
 
 
 def _lift_all(
@@ -182,7 +217,7 @@ def _lift_all(
         result = lifting_check(f, g, cache)
         if not result.holds:
             return result
-    return LiftResult(True, None)
+    return _HOLDS
 
 
 def characterize(name: str, arg, cache: HomCache | None = None) -> LiftResult:

@@ -330,8 +330,14 @@ def monotone_assignments(
     if n == 0:
         yield ()
         return
-    earlier = source.earlier_relations
-    up, down = target.order_masks
+    # The tables are read from their slots; the properties only build them.
+    earlier = source._earlier_relations
+    if earlier is None:
+        earlier = source.earlier_relations
+    masks = target._order_masks
+    if masks is None:
+        masks = target.order_masks
+    up, down = masks
     last = n - 1
     assign = [0] * n
     stack: list[tuple[Iterator[int], int]] = []

@@ -39,7 +39,7 @@ from liftprop import (
     self_lifting_scan,
     to_point,
 )
-from liftprop.lifting import HomCache, Universe
+from liftprop.lifting import HomCache, Universe, fibre_table
 
 
 def test_square_requires_matching_endpoints():
@@ -131,6 +131,20 @@ def test_find_diagonal_matches_brute_force_on_every_small_square():
             assert (None if d is None else d.assign) == brute_force_diagonal(square)
             squares += 1
     assert squares == 14302  # every commuting square was compared, none skipped
+
+
+def test_find_diagonal_refuses_a_forced_assignment_that_is_not_monotone():
+    # f sends p, q to b, s and the top sends them to s, b: every point of
+    # SIERP is forced, and the forced d (b to s, s to b) reverses b <= s.
+    square = Square(
+        MonotoneMap(TWO, SIERP, (0, 1)),
+        SIERP_TO_PT,
+        MonotoneMap(TWO, SIERP, (1, 0)),
+        to_point(SIERP),
+    )
+    assert brute_force_diagonal(square) is None
+    assert find_diagonal(square) is None
+    assert find_diagonal(square, fibre_table(SIERP_TO_PT)) is None
 
 
 def test_codiagonal_lifts_against_surjection():
@@ -379,6 +393,29 @@ def test_lifting_check_matches_full_pair_scan(f, g):
     assert_same_as_full_scan(f, g)
 
 
+@st.composite
+def commuting_squares(draw):
+    f, g = draw(maps()), draw(maps())
+    tops = hom_enumerate(f.source, g.source)
+    assume(tops)
+    i = draw(st.sampled_from(tops))
+    bottoms = [
+        j
+        for j in hom_enumerate(f.target, g.target)
+        if all(g.assign[x] == j.assign[b] for x, b in zip(i.assign, f.assign))
+    ]
+    assume(bottoms)
+    return Square(f, g, i, draw(st.sampled_from(bottoms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(commuting_squares())
+def test_find_diagonal_matches_brute_force_on_random_squares(square):
+    want = brute_force_diagonal(square)
+    for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
+        assert (None if d is None else d.assign) == want
+
+
 @pytest.mark.parametrize(
     "f, g",
     [
@@ -393,6 +430,11 @@ def test_lifting_check_matches_full_pair_scan(f, g):
         # Empty hom-sets: no bottoms, or neither tops nor bottoms.
         (EMPTY_TO_PT, identity(EMPTY)),
         (identity(PT), identity(EMPTY)),
+        # One-point source of f: every key is a bare value, not a tuple.
+        (identity(PT), CODIAG),
+        (PT_TO_SIERP_CLOSED, SIERP_TO_PT),
+        (MonotoneMap(PT, TWO, (1,)), to_point(TWO)),
+        (PT_TO_SIERP_CLOSED, PT_TO_SIERP_CLOSED),  # fails: not dense
     ],
 )
 def test_lifting_check_matches_full_pair_scan_on_edge_cases(f, g):
