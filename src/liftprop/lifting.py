@@ -102,6 +102,12 @@ class LiftResult(Value):
     holds: bool
     counterexample: Square | None
 
+    def __init__(self, holds, counterexample) -> None:
+        _set_holds(self, holds)
+        _set_counterexample(self, counterexample)
+
+
+_set_holds, _set_counterexample = LiftResult._setters
 
 # Results are immutable, so every holding check returns this one.
 _HOLDS = LiftResult(True, None)
@@ -123,47 +129,54 @@ def find_diagonal(square: Square, fibres: list[list[int]] | None = None) -> Mono
     once.  A forced value lies in the fibre of g over j(b) already, since
     the square commutes.  Every other point b ranges over that fibre, read
     from ``fibres``, the fibre_table of the right map (built here when not
-    given); an empty fibre ends the search before it starts.  When each
-    point is left with one candidate, that assignment is tested for
-    monotonicity directly; otherwise monotone_assignments searches the
-    candidates.
+    given); an empty fibre ends the search before it starts.  Fibres are
+    ascending, so putting every free point at the first entry of its fibre
+    gives the lex-least candidate assignment.  That probe is tested for
+    monotonicity once; when it passes it is the answer, the first
+    assignment monotone_assignments would yield.  Only when it fails and
+    some free point has two or more candidates does monotone_assignments
+    search.
     """
     f, g, i, j = square.left, square.right, square.top, square.bottom
     mid_src, mid_tgt = f.target, g.source
     if fibres is None:
         fibres = fibre_table(g)
-    forced: list[int | None] = [None] * len(mid_src.labels)
+    probe: list[int | None] = [None] * len(mid_src.labels)
     for b, x in zip(f.assign, i.assign):
-        if forced[b] is None:
-            forced[b] = x
-        elif forced[b] != x:
+        if probe[b] is None:
+            probe[b] = x
+        elif probe[b] != x:
             return None
     j_assign = j.assign
-    search = False
-    for b, x in enumerate(forced):
+    several = False
+    for b, x in enumerate(probe):
         if x is None:
             fibre = fibres[j_assign[b]]
-            if len(fibre) == 1:
-                forced[b] = fibre[0]
-            elif fibre:
-                search = True
-            else:
+            if not fibre:
                 return None
-    if search:
-        candidates = [fibres[y] if x is None else (x,) for x, y in zip(forced, j_assign)]
-        assign = next(monotone_assignments(mid_src, mid_tgt, candidates), None)
-        if assign is None:
-            return None
-    else:
-        # The check MonotoneMap makes, without building a map that fails it.
-        assign = tuple(forced)
-        t_leq = mid_tgt.leq
-        for x, above in mid_src.strict_above:
-            row = t_leq[assign[x]]
-            for y in above:
-                if not row[assign[y]]:
-                    return None
-    return MonotoneMap(mid_src, mid_tgt, assign)
+            probe[b] = fibre[0]
+            if len(fibre) > 1:
+                several = True
+    if _is_monotone(mid_src, mid_tgt, probe):
+        return MonotoneMap(mid_src, mid_tgt, tuple(probe))
+    if not several:
+        return None
+    # The forced values agree by now, so a dict holds them exactly.
+    forced = dict(zip(f.assign, i.assign))
+    candidates = [(forced[b],) if b in forced else fibres[y] for b, y in enumerate(j_assign)]
+    assign = next(monotone_assignments(mid_src, mid_tgt, candidates), None)
+    return None if assign is None else MonotoneMap(mid_src, mid_tgt, assign)
+
+
+def _is_monotone(source: FinPreorder, target: FinPreorder, assign: list[int]) -> bool:
+    """The check MonotoneMap makes, without building a map that fails it."""
+    t_leq = target.leq
+    for x, above in source.strict_above:
+        row = t_leq[assign[x]]
+        for y in above:
+            if not row[assign[y]]:
+                return False
+    return True
 
 
 def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None) -> LiftResult:
@@ -180,7 +193,9 @@ def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None)
     order of a full scan, top map outer and bottom map inner, so the
     counterexample is that of that scan.  The fibres of g are built once,
     at the first commuting square.  Cost: (|tops| + |bottoms|) * |A| to
-    index, plus one find_diagonal per commuting square visited.
+    index, plus one find_diagonal per commuting square visited: one
+    monotonicity probe of |B| points, and a search only for the squares
+    whose probe fails while some point has several candidates.
     """
     cache = HomCache() if cache is None else cache
     tops = cache.hom(f.source, g.source)

@@ -43,12 +43,21 @@ class FinPreorder(Value):
 
     # After the two fields come per-space tables for map validation and the
     # search kernel, built on first use by strict_above, earlier_relations
-    # and order_masks and kept here, and the hash, hash((labels, leq)), kept
-    # after its first use: tuples do not cache their hash, and HomCache
-    # hashes its space keys on every lookup.  None of them takes part in
-    # equality or repr.  The class is slotted, so each table costs only its
-    # own size.
-    __slots__ = ("labels", "leq", "_strict_above", "_earlier_relations", "_order_masks", "_hash")
+    # and order_masks and kept here; the row masks, which the transitivity
+    # check builds and order_masks reuses as its up half; and the hash,
+    # hash((labels, leq)), kept after its first use: tuples do not cache
+    # their hash, and HomCache hashes its space keys on every lookup.  None
+    # of them takes part in equality or repr.  The class is slotted, so each
+    # table costs only its own size.
+    __slots__ = (
+        "labels",
+        "leq",
+        "_strict_above",
+        "_earlier_relations",
+        "_order_masks",
+        "_row_masks",
+        "_hash",
+    )
     labels: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
 
@@ -77,7 +86,7 @@ class FinPreorder(Value):
         # Transitive iff the row of every y above x lies inside the row of x.
         # Rows, and the bits inside each row, are read in index order, so
         # the violation reported is the first (x, y, z) in row-major order.
-        rows = [row_mask(row) for row in self.leq]
+        rows = tuple(row_mask(row) for row in self.leq)
         for x, row_x in enumerate(rows):
             outside = ~row_x
             for y, related in enumerate(self.leq[x]):
@@ -88,6 +97,7 @@ class FinPreorder(Value):
                         "relation not transitive: "
                         f"{self.labels[x]} <= {self.labels[y]} <= {self.labels[z]}"
                     )
+        _set_row_masks(self, rows)
 
     @property
     def strict_above(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -129,10 +139,8 @@ class FinPreorder(Value):
         """(up, down): bit w of up[v] is set when v <= w, of down[v] when w <= v."""
         table = self._order_masks
         if table is None:
-            leq = self.leq
-            up = tuple(row_mask(row) for row in leq)
-            down = tuple(row_mask(column) for column in zip(*leq))
-            table = (up, down)
+            down = tuple(row_mask(column) for column in zip(*self.leq))
+            table = (self._row_masks, down)
             _set_order_masks(self, table)
         return table
 
@@ -184,9 +192,15 @@ class FinPreorder(Value):
 # Stores through the slot descriptors, for the constructor and the lazy
 # tables: cheaper than object.__setattr__, which the frozen base requires
 # otherwise.
-_set_labels, _set_leq, _set_strict_above, _set_earlier_relations, _set_order_masks, _set_hash = (
-    FinPreorder.__dict__[name].__set__ for name in FinPreorder.__slots__
-)
+(
+    _set_labels,
+    _set_leq,
+    _set_strict_above,
+    _set_earlier_relations,
+    _set_order_masks,
+    _set_row_masks,
+    _set_hash,
+) = (FinPreorder.__dict__[name].__set__ for name in FinPreorder.__slots__)
 
 
 class MonotoneMap(Value):

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +230,22 @@ def test_verify_paper_machine(capsys):
     assert len(records) == 12
     assert all(r["mismatches"] == 0 for r in records)
     assert all(r["first_mismatch"] is None for r in records)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["plain", "machine"])
+def test_verify_paper_max_size_4_matches_golden_bytes(capsys, machine):
+    """The full paper run prints exactly the pinned table or records.
+
+    Engine changes keep this output byte for byte.  Regenerate the files
+    only for a change meant to alter it, with
+    ``liftprop verify-paper --max-size 4 [--machine] > tests/golden/...``.
+    """
+    assert run_cli("verify-paper", "--max-size", "4", *(["--machine"] if machine else [])) == 0
+    expected = GOLDEN / f"verify_paper_4.{'jsonl' if machine else 'out'}"
+    assert capsys.readouterr().out.encode("utf-8") == expected.read_bytes()
 
 
 def test_verify_paper_size_bounds(capsys):

@@ -39,6 +39,7 @@ from liftprop import (
     self_lifting_scan,
     to_point,
 )
+from liftprop import lifting
 from liftprop.lifting import HomCache, Universe, fibre_table
 
 
@@ -145,6 +146,90 @@ def test_find_diagonal_refuses_a_forced_assignment_that_is_not_monotone():
     assert brute_force_diagonal(square) is None
     assert find_diagonal(square) is None
     assert find_diagonal(square, fibre_table(SIERP_TO_PT)) is None
+
+
+# X with its top first: u <= t, so the probe's first candidate t lies
+# above every other point.
+TOP_FIRST = build_space(["t", "u"], [("u", "t")])
+DISC3 = build_space(["x0", "x1", "x2"], [])
+# In the last three squares f sends pt to s, so d(s) is forced and d(b)
+# ranges over its fibre, which must stay below d(s).
+TO_S = MonotoneMap(PT, SIERP, (1,))
+
+# (square, lex-least diagonal or None, searches run by find_diagonal)
+DIAGONAL_PATHS = {
+    # f identifies p and q, the top separates them.
+    "forced-conflict": (Square(CODIAG, to_point(TWO), identity(TWO), identity(PT)), None, 0),
+    # Nothing of X lies over the bottom's value b.
+    "empty-fibre": (
+        Square(EMPTY_TO_PT, TO_S, MonotoneMap(EMPTY, PT, ()), PT_TO_SIERP_CLOSED),
+        None,
+        0,
+    ),
+    # Every point forced, and the forced d reverses b <= s.
+    "forced-not-monotone": (
+        Square(
+            MonotoneMap(TWO, SIERP, (0, 1)),
+            SIERP_TO_PT,
+            MonotoneMap(TWO, SIERP, (1, 0)),
+            to_point(SIERP),
+        ),
+        None,
+        0,
+    ),
+    # d(b) has candidates b and s; the first, b, lies below d(s) = s.
+    "probe-holds": (Square(TO_S, SIERP_TO_PT, TO_S, to_point(SIERP)), (0, 1), 0),
+    # d(s) = u, and d(b)'s first candidate t is not below u; u is.
+    "search-finds": (
+        Square(TO_S, to_point(TOP_FIRST), MonotoneMap(PT, TOP_FIRST, (1,)), to_point(SIERP)),
+        (1, 1),
+        1,
+    ),
+    # d(s) = x2, and neither candidate x0 nor x1 is below it.
+    "search-fails": (
+        Square(
+            TO_S,
+            MonotoneMap(DISC3, SIERP, (0, 0, 1)),
+            MonotoneMap(PT, DISC3, (2,)),
+            identity(SIERP),
+        ),
+        None,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("path", DIAGONAL_PATHS)
+def test_find_diagonal_takes_each_path(monkeypatch, path):
+    square, expected, searches = DIAGONAL_PATHS[path]
+    calls = []
+    search = lifting.monotone_assignments
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(lifting, "monotone_assignments", counted)
+    assert brute_force_diagonal(square) == expected
+    for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
+        assert (None if d is None else d.assign) == expected
+    assert len(calls) == 2 * searches
+
+
+def test_probe_path_never_enters_the_search_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monotone_assignments entered")
+
+    monkeypatch.setattr(lifting, "monotone_assignments", refuse)
+    for square, expected, searches in DIAGONAL_PATHS.values():
+        if searches:
+            with pytest.raises(AssertionError, match="entered"):
+                find_diagonal(square)
+        else:
+            d = find_diagonal(square)
+            assert (None if d is None else d.assign) == expected
+    # The one square has two candidates for d(pt), and the first lifts.
+    assert lifting_check(EMPTY_TO_PT, CODIAG) == LiftResult(True, None)
 
 
 def test_codiagonal_lifts_against_surjection():
@@ -411,6 +496,20 @@ def commuting_squares(draw):
 @settings(max_examples=300, deadline=None)
 @given(commuting_squares())
 def test_find_diagonal_matches_brute_force_on_random_squares(square):
+    want = brute_force_diagonal(square)
+    for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
+        assert (None if d is None else d.assign) == want
+
+
+def has_several_candidates(square):
+    """Some point of B off the image of f has two or more points of X over it."""
+    fibres, image = fibre_table(square.right), set(square.left.assign)
+    return any(len(fibres[y]) > 1 for b, y in enumerate(square.bottom.assign) if b not in image)
+
+
+@settings(max_examples=200, deadline=None)
+@given(commuting_squares().filter(has_several_candidates))
+def test_find_diagonal_matches_brute_force_with_several_candidates(square):
     want = brute_force_diagonal(square)
     for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
         assert (None if d is None else d.assign) == want
