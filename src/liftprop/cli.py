@@ -137,11 +137,11 @@ def execute_query(query: Query, env: Env) -> Outcome:
         arg = env.spaces[query.arg] if query.prop in SPACE_PROPERTIES else env.maps[query.arg]
         return LiftOutcome(text, characterize(query.prop, arg, cache))
     if isinstance(query, MonoQuery):
-        universe = Universe.build(query.size, cache)
-        return LiftOutcome(text, mono_lift_result(env.maps[query.name], universe, cache))
+        spaces = tuple(enumerate_preorders(query.size))
+        return LiftOutcome(text, mono_lift_result(env.maps[query.name], spaces, cache))
     if isinstance(query, EpiQuery):
-        universe = Universe.build(query.size, cache)
-        return LiftOutcome(text, epi_lift_result(env.maps[query.name], universe, cache))
+        spaces = tuple(enumerate_preorders(query.size))
+        return LiftOutcome(text, epi_lift_result(env.maps[query.name], spaces, cache))
     if isinstance(query, OrthogonalQuery):
         universe = Universe.build(query.size, cache)
         tests = [env.maps[t] for t in query.tests]

@@ -4,7 +4,8 @@
 left and g on the right admits a diagonal making both triangles commute.
 On top of that single decision procedure sit the named characterizations
 (surjective, T0, Hausdorff, ...), orthogonal classes over a bounded
-universe, mono/epi tests, and the self-lifting scan.
+universe, mono/epi tests over the spaces of a size bound, and the
+self-lifting scan.
 """
 
 from __future__ import annotations
@@ -291,35 +292,42 @@ class Universe(Value):
         return cls(max_size, spaces, maps)
 
 
-def mono_lift_result(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> LiftResult:
-    """Lifting reading of mono: the codiagonal of every Z lifts against f."""
-    return _lift_all(((codiagonal(z), f) for z in universe.spaces), cache)
+def mono_lift_result(
+    f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
+) -> LiftResult:
+    """Lifting reading of mono: the codiagonal of every test space Z lifts against f."""
+    return _lift_all(((codiagonal(z), f) for z in spaces), cache)
 
 
-def epi_lift_result(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> LiftResult:
-    """Lifting reading of epi: f lifts against the diagonal of every Z."""
-    return _lift_all(((f, diagonal(z)) for z in universe.spaces), cache)
+def epi_lift_result(
+    f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
+) -> LiftResult:
+    """Lifting reading of epi: f lifts against the diagonal of every test space Z."""
+    return _lift_all(((f, diagonal(z)) for z in spaces), cache)
 
 
-def is_mono_upto(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> bool:
-    return mono_lift_result(f, universe, cache).holds
+def is_mono_upto(
+    f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
+) -> bool:
+    return mono_lift_result(f, spaces, cache).holds
 
 
-def is_epi_upto(f: MonotoneMap, universe: Universe, cache: HomCache | None = None) -> bool:
-    return epi_lift_result(f, universe, cache).holds
+def is_epi_upto(
+    f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
+) -> bool:
+    return epi_lift_result(f, spaces, cache).holds
 
 
 def is_mono_cancellation(
-    f: MonotoneMap, universe: Universe, cache: HomCache | None = None
+    f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
 ) -> bool:
-    """Direct mono definition: f is left-cancellable against universe sources.
+    """Direct mono definition: f is left-cancellable against the test spaces.
 
-    The probe maps Z -> source(f) are enumerated in full, not restricted
-    to maps between universe spaces, so f itself may have endpoints
-    outside the universe.
+    The probe maps Z -> source(f) are enumerated in full, so f itself may
+    have endpoints that are not test spaces.
     """
     cache = HomCache() if cache is None else cache
-    for z in universe.spaces:
+    for z in spaces:
         candidates = cache.hom(z, f.source)
         for a, g1 in enumerate(candidates):
             for g2 in candidates[a + 1 :]:
@@ -329,11 +337,11 @@ def is_mono_cancellation(
 
 
 def is_epi_cancellation(
-    f: MonotoneMap, universe: Universe, cache: HomCache | None = None
+    f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
 ) -> bool:
-    """Direct epi definition: f is right-cancellable against universe targets."""
+    """Direct epi definition: f is right-cancellable against the test spaces."""
     cache = HomCache() if cache is None else cache
-    for z in universe.spaces:
+    for z in spaces:
         candidates = cache.hom(f.target, z)
         for a, h1 in enumerate(candidates):
             for h2 in candidates[a + 1 :]:

@@ -36,23 +36,12 @@ class Pi0Partition(Value):
 
 
 def pi0(space: FinPreorder) -> Pi0Partition:
-    """Connected components: the equivalence generated by comparability."""
-    n = len(space)
-    component_of = [-1] * n
-    count = 0
-    for start in range(n):
-        if component_of[start] != -1:
-            continue
-        component_of[start] = count
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in range(n):
-                if component_of[y] == -1 and (space.leq[x][y] or space.leq[y][x]):
-                    component_of[y] = count
-                    stack.append(y)
-        count += 1
-    return Pi0Partition(space, tuple(component_of), count)
+    """Connected components: the equivalence generated by comparability.
+
+    The space computes them once and keeps them; the partition is built
+    from that table.
+    """
+    return Pi0Partition(space, *space.components)
 
 
 def pi0_map(f: MonotoneMap) -> tuple[int, ...]:
@@ -62,10 +51,11 @@ def pi0_map(f: MonotoneMap) -> tuple[int, ...]:
     component c; monotone maps never split a component, so this is
     well defined.
     """
-    src, tgt = pi0(f.source), pi0(f.target)
-    induced = [-1] * src.component_count
+    src_of, src_count = f.source.components
+    tgt_of = f.target.components[0]
+    induced = [-1] * src_count
     for x, v in enumerate(f.assign):
-        induced[src.component_of[x]] = tgt.component_of[v]
+        induced[src_of[x]] = tgt_of[v]
     return tuple(induced)
 
 

@@ -43,7 +43,8 @@ class FinPreorder(Value):
 
     # After the two fields come per-space tables for map validation and the
     # search kernel, built on first use by strict_above, earlier_relations
-    # and order_masks and kept here; the row masks, which the transitivity
+    # and order_masks and kept here; the connected components, built on
+    # first use by components; the row masks, which the transitivity
     # check builds and order_masks reuses as its up half; and the hash,
     # hash((labels, leq)), kept after its first use: tuples do not cache
     # their hash, and HomCache hashes its space keys on every lookup.  None
@@ -55,6 +56,7 @@ class FinPreorder(Value):
         "_strict_above",
         "_earlier_relations",
         "_order_masks",
+        "_components",
         "_row_masks",
         "_hash",
     )
@@ -67,6 +69,7 @@ class FinPreorder(Value):
         _set_strict_above(self, None)
         _set_earlier_relations(self, None)
         _set_order_masks(self, None)
+        _set_components(self, None)
         _set_hash(self, None)
         self.__post_init__()
 
@@ -144,6 +147,36 @@ class FinPreorder(Value):
             _set_order_masks(self, table)
         return table
 
+    @property
+    def components(self) -> tuple[tuple[int, ...], int]:
+        """(component_of, count) of the connected components.
+
+        Components are the classes of the equivalence generated by
+        comparability.  Ids are assigned by first occurrence, so component
+        0 contains the lowest-indexed point.
+        """
+        table = self._components
+        if table is None:
+            leq = self.leq
+            n = len(leq)
+            component_of = [-1] * n
+            count = 0
+            for start in range(n):
+                if component_of[start] != -1:
+                    continue
+                component_of[start] = count
+                stack = [start]
+                while stack:
+                    x = stack.pop()
+                    for y in range(n):
+                        if component_of[y] == -1 and (leq[x][y] or leq[y][x]):
+                            component_of[y] = count
+                            stack.append(y)
+                count += 1
+            table = (tuple(component_of), count)
+            _set_components(self, table)
+        return table
+
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
@@ -198,6 +231,7 @@ class FinPreorder(Value):
     _set_strict_above,
     _set_earlier_relations,
     _set_order_masks,
+    _set_components,
     _set_row_masks,
     _set_hash,
 ) = (FinPreorder.__dict__[name].__set__ for name in FinPreorder.__slots__)

@@ -72,8 +72,8 @@ def _space_property_suite(name, oracle, spaces: tuple[FinPreorder, ...], cache) 
 def _mono_suite(universe: Universe, cache: HomCache) -> SuiteReport:
     mismatches, first = 0, None
     for f in universe.maps:
-        lifted = is_mono_upto(f, universe, cache)
-        cancelled = is_mono_cancellation(f, universe)
+        lifted = is_mono_upto(f, universe.spaces, cache)
+        cancelled = is_mono_cancellation(f, universe.spaces)
         if not (lifted == cancelled == is_injective(f)):
             mismatches += 1
             if first is None:
@@ -84,8 +84,8 @@ def _mono_suite(universe: Universe, cache: HomCache) -> SuiteReport:
 def _epi_suite(universe: Universe, cache: HomCache) -> SuiteReport:
     mismatches, first = 0, None
     for f in universe.maps:
-        lifted = is_epi_upto(f, universe, cache)
-        cancelled = is_epi_cancellation(f, universe)
+        lifted = is_epi_upto(f, universe.spaces, cache)
+        cancelled = is_epi_cancellation(f, universe.spaces)
         if not (lifted == cancelled == is_surjective(f)):
             mismatches += 1
             if first is None:

@@ -132,11 +132,11 @@ def test_criterion_3_mono_epi_three_way_agreement():
     universe = Universe.build(2, cache)
     disagreements = 0
     for f in universe.maps:
-        mono = is_mono_upto(f, universe, cache)
-        if not (mono == is_mono_cancellation(f, universe) == is_injective(f)):
+        mono = is_mono_upto(f, universe.spaces, cache)
+        if not (mono == is_mono_cancellation(f, universe.spaces) == is_injective(f)):
             disagreements += 1
-        epi = is_epi_upto(f, universe, cache)
-        if not (epi == is_epi_cancellation(f, universe) == is_surjective(f)):
+        epi = is_epi_upto(f, universe.spaces, cache)
+        if not (epi == is_epi_cancellation(f, universe.spaces) == is_surjective(f)):
             disagreements += 1
     report(
         3,

@@ -73,6 +73,14 @@ def test_pi0_matches_symmetrized_reachability():
                 assert (part.component_of[x] == part.component_of[y]) == reach[x][y]
 
 
+def test_pi0_reads_components_the_space_computed_once():
+    space = build_space(["a", "b", "c"], [("a", "b")])
+    first, again = pi0(space), pi0(space)
+    assert first == again and first.component_of is again.component_of
+    # The space keeps plain tuples, never the partition that refers back to it.
+    assert space._components == ((0, 0, 1), 2)
+
+
 def test_pi0_map_of_a_collapse():
     f = MonotoneMap(TWO, PT, (0, 0))
     assert pi0_map(f) == (0, 0)

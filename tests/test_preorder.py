@@ -530,6 +530,8 @@ def test_tables_are_not_part_of_equality_or_repr():
     assert fresh.strict_above == ((0, (1,)),)
     assert fresh.earlier_relations == (((), ()), ((0,), ()))
     assert fresh.order_masks == ((0b11, 0b10), (0b01, 0b11))
+    assert unhashed._components is None
+    assert fresh.components == ((0, 0), 1) and fresh.components is fresh._components
     assert fresh == SIERP and hash(fresh) == hash(SIERP)
     assert fresh == unhashed and unhashed._hash is None and fresh._hash is not None
     assert repr(fresh) == repr(SIERP) == "FinPreorder([b, s]; b<=s)"
