@@ -25,6 +25,7 @@ from .preorder import (
     VEE,
     FinPreorder,
     MonotoneMap,
+    canonical_relabeling,
     codiagonal,
     compose,
     diagonal,
@@ -350,6 +351,19 @@ def is_epi_cancellation(
     return True
 
 
+class _Relabelings(dict):
+    """canonical_relabeling memoised per space, for one orthogonal_class call.
+
+    Each space maps to its form, its permutation and that permutation's
+    inverse, computed on the first lookup.
+    """
+
+    def __missing__(self, space: FinPreorder) -> tuple:
+        form, perm = canonical_relabeling(space)
+        move = self[space] = (form, perm, tuple(map(perm.index, range(len(perm)))))
+        return move
+
+
 def orthogonal_class(
     side: str,
     tests: list[MonotoneMap],
@@ -361,16 +375,35 @@ def orthogonal_class(
     side="right" keeps g with t lifting against g for all tests t;
     side="left" keeps f with f lifting against all tests.  Output follows
     universe order.
+
+    Verdicts are shared within a relabeling class.  A map m: P -> Q is
+    keyed by the canonical forms of P and Q and by m moved onto them: the
+    assignment x |-> b^-1(m(a(x))), where a and b are the permutations
+    canonical_relabeling gives for P and Q.  Two maps with one key are
+    isomorphic in the arrow category, through the relabelings onto the
+    shared forms, and a lifting property against a fixed test is
+    invariant under such isomorphisms: a commuting square, and a diagonal
+    of it, transport along them.  So only the first map of each key, in
+    universe order, is decided; every later one reuses its verdict.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     cache = HomCache() if cache is None else cache
+    relabelings = _Relabelings()
+    verdicts: dict[tuple, bool] = {}
     out = []
     for m in universe.maps:
-        if side == "right":
-            ok = all(lifting_check(t, m, cache).holds for t in tests)
-        else:
-            ok = all(lifting_check(m, t, cache).holds for t in tests)
+        p_form, p_perm, _ = relabelings[m.source]
+        q_form, _, q_inverse = relabelings[m.target]
+        assign = m.assign
+        key = (p_form, q_form, tuple(q_inverse[assign[x]] for x in p_perm))
+        ok = verdicts.get(key)
+        if ok is None:
+            if side == "right":
+                ok = all(lifting_check(t, m, cache).holds for t in tests)
+            else:
+                ok = all(lifting_check(m, t, cache).holds for t in tests)
+            verdicts[key] = ok
         if ok:
             out.append(m)
     return out

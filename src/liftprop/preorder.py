@@ -545,17 +545,32 @@ def _transitive_row_masks(k: int):
     yield from place(0)
 
 
+def canonical_relabeling(
+    space: FinPreorder,
+) -> tuple[tuple[tuple[bool, ...], ...], tuple[int, ...]]:
+    """(form, perm): the least relation matrix over all relabelings, and the first that reaches it.
+
+    Relabeling by a permutation perm puts old point perm[x] at index x,
+    so its matrix has entry leq[perm[x]][perm[y]] at (x, y).  ``form`` is
+    the least such matrix in row-major order, ``perm`` the first
+    permutation in itertools.permutations order whose matrix it is.  Two
+    spaces are isomorphic exactly when their forms are equal.  Only the
+    relation is read, never the labels.  The search is brute force over
+    all n! permutations (McKay and Piperno's canonical form without the
+    partition refinement), which is cheap for the sizes a universe has.
+    """
+    leq = space.leq
+    form, first = None, ()
+    for perm in itertools.permutations(range(len(leq))):
+        matrix = tuple(tuple(row[y] for y in perm) for row in (leq[x] for x in perm))
+        if form is None or matrix < form:
+            form, first = matrix, perm
+    return form, first
+
+
 def are_isomorphic(p: FinPreorder, q: FinPreorder) -> bool:
     """True iff some relabeling carries p onto q (order both ways)."""
-    n = len(p)
-    if n != len(q):
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(
-            p.leq[x][y] == q.leq[perm[x]][perm[y]] for x in range(n) for y in range(n)
-        ):
-            return True
-    return False
+    return len(p) == len(q) and canonical_relabeling(p)[0] == canonical_relabeling(q)[0]
 
 
 def dedupe_up_to_iso(spaces: list[FinPreorder]) -> list[FinPreorder]:
@@ -563,11 +578,10 @@ def dedupe_up_to_iso(spaces: list[FinPreorder]) -> list[FinPreorder]:
 
     Optional filter; the quantification universes stay labeled.
     """
-    reps: list[FinPreorder] = []
+    reps: dict[tuple[tuple[bool, ...], ...], FinPreorder] = {}
     for space in spaces:
-        if not any(are_isomorphic(space, r) for r in reps):
-            reps.append(space)
-    return reps
+        reps.setdefault(canonical_relabeling(space)[0], space)
+    return list(reps.values())
 
 
 # The constant spaces: empty, point, discrete pair, Sierpinski, indiscrete

@@ -1,6 +1,9 @@
 """The lifting decision procedure and the operators built on it."""
 
+import hashlib
+import io
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -40,7 +43,10 @@ from liftprop import (
     to_point,
 )
 from liftprop import lifting
+from liftprop.cli import run_file
 from liftprop.lifting import HomCache, Universe, fibre_table
+from liftprop.notation import BUILTIN_MAPS
+from liftprop.preorder import FinPreorder, canonical_relabeling
 
 
 def test_square_requires_matching_endpoints():
@@ -373,6 +379,122 @@ def test_orthogonal_class_rejects_bad_side():
         orthogonal_class("middle", [], Universe.build(1))
 
 
+def per_map_orthogonal_class(side, tests, universe, cache):
+    """The orthogonal class decided map by map, with no verdict shared."""
+    if side == "right":
+        return [g for g in universe.maps if all(lifting_check(t, g, cache).holds for t in tests)]
+    return [f for f in universe.maps if all(lifting_check(f, t, cache).holds for t in tests)]
+
+
+TEST_LISTS = {name: [t] for name, t in BUILTIN_MAPS.items()}
+TEST_LISTS["EMPTY_TO_PT+CODIAG"] = [EMPTY_TO_PT, CODIAG]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("tests", TEST_LISTS.values(), ids=TEST_LISTS.keys())
+def test_orthogonal_class_equals_the_per_map_loop(side, tests):
+    universe = Universe.build(2)
+    cache = HomCache()
+    assert orthogonal_class(side, tests, universe, cache) == per_map_orthogonal_class(
+        side, tests, universe, cache
+    )
+
+
+def relabel(space, perm):
+    """The space with old point perm[x] at index x, labels carried along."""
+    return FinPreorder(
+        tuple(space.labels[x] for x in perm),
+        tuple(tuple(space.leq[x][y] for y in perm) for x in perm),
+    )
+
+
+def moved(m, a, b):
+    """b∘m∘a⁻¹ for the relabelings of m's source by a and its target by b."""
+    inverse = {old: x for x, old in enumerate(b)}
+    return MonotoneMap(
+        relabel(m.source, a), relabel(m.target, b), tuple(inverse[m.assign[x]] for x in a)
+    )
+
+
+@st.composite
+def relabeled_maps(draw):
+    """A map between spaces of at most 3 points, and a relabeling of it."""
+    source, target = draw(spaces(max_size=3)), draw(spaces(max_size=3))
+    homs = hom_enumerate(source, target)
+    assume(homs)
+    m = draw(st.sampled_from(homs))
+    a = draw(st.permutations(range(len(source))))
+    b = draw(st.permutations(range(len(target))))
+    return m, moved(m, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_maps())
+def test_lifting_is_invariant_under_relabeling(pair):
+    """The theorem orthogonal_class rests on: t ⧄ m and m ⧄ t do not change
+    when m is moved along isomorphisms of its source and target."""
+    m, m_moved = pair
+    cache = HomCache()
+    for t in BUILTIN_MAPS.values():
+        assert lifting_check(t, m, cache).holds == lifting_check(t, m_moved, cache).holds
+        assert lifting_check(m, t, cache).holds == lifting_check(m_moved, t, cache).holds
+
+
+def relabeling_class(m):
+    """m's canonical source and target forms, and m moved onto them."""
+    p_form, a = canonical_relabeling(m.source)
+    q_form, b = canonical_relabeling(m.target)
+    return p_form, q_form, moved(m, a, b).assign
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_orthogonal_class_decides_each_relabeling_class_once_per_test(monkeypatch, side):
+    universe = Universe.build(3)
+    tests = [EMPTY_TO_PT, CODIAG]
+    calls = []
+    check = lifting.lifting_check
+
+    def counting_check(f, g, cache=None):
+        m, t = (g, f) if side == "right" else (f, g)
+        calls.append((relabeling_class(m), t))
+        return check(f, g, cache)
+
+    monkeypatch.setattr(lifting, "lifting_check", counting_check)
+    got = orthogonal_class(side, tests, universe)
+    classes = {relabeling_class(m) for m in universe.maps}
+    assert len(universe.maps) == 11345 and len(classes) == 1476
+    assert len(calls) == len(set(calls)) <= len(classes) * len(tests)
+    monkeypatch.setattr(lifting, "lifting_check", check)
+    assert got == per_map_orthogonal_class(side, tests, universe, HomCache())
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# Byte lengths of the outputs of golden/orthogonal_3.lift, plain and
+# --machine; golden/orthogonal_3.sha256 holds their SHA-256.  The outputs
+# are pinned by digest because they run to several megabytes.
+ORTHOGONAL_3_BYTES = {"out": 4_755_757, "jsonl": 6_606_046}
+
+
+@pytest.mark.parametrize("suffix", ["out", "jsonl"])
+def test_orthogonal_size_3_matches_pinned_digest(suffix):
+    """Every (side, built-in test) pair at size 3, one two-test list and the
+    empty list print exactly the pinned bytes.
+
+    Regenerate the pins only for a change meant to alter the output, from
+    ``liftprop run tests/golden/orthogonal_3.lift [--machine]`` piped into
+    ``sha256sum`` and ``wc -c``.
+    """
+    pins = {}
+    for line in (GOLDEN / "orthogonal_3.sha256").read_text().splitlines():
+        digest, name = line.split()
+        pins[name] = digest
+    out = io.StringIO()
+    assert run_file(str(GOLDEN / "orthogonal_3.lift"), suffix == "jsonl", out) == 0
+    data = out.getvalue().encode("utf-8")
+    assert len(data) == ORTHOGONAL_3_BYTES[suffix]
+    assert hashlib.sha256(data).hexdigest() == pins[f"orthogonal_3.{suffix}"]
+
+
 def test_self_lifting_scan_on_tiny_universe():
     universe = Universe.build(1)
     scanned = self_lifting_scan(universe)
@@ -455,8 +577,8 @@ def assert_same_as_full_scan(f, g):
 
 
 @st.composite
-def spaces(draw):
-    n = draw(st.integers(0, 4))
+def spaces(draw, max_size=4):
+    n = draw(st.integers(0, max_size))
     if not n:
         return EMPTY
     labels = [f"e{k}" for k in range(n)]

@@ -35,6 +35,7 @@ from liftprop import (
     to_point,
 )
 from liftprop.lifting import LiftResult, Universe
+from liftprop.preorder import are_isomorphic, canonical_relabeling
 from liftprop.notation import (
     CheckQuery,
     CountsOutcome,
@@ -387,6 +388,48 @@ def test_dedupe_up_to_iso_counts():
     for space in reps:
         by_size[len(space)] = by_size.get(len(space), 0) + 1
     assert [by_size[k] for k in range(4)] == [1, 1, 3, 9]
+
+
+def relabeled_relation(space, perm):
+    """The relation with old point perm[x] at index x."""
+    return tuple(tuple(space.leq[x][y] for y in perm) for x in perm)
+
+
+def test_canonical_relabeling_carries_each_space_onto_its_form():
+    """perm reaches form, no relabeling is less, and no earlier permutation
+    in itertools.permutations order reaches it."""
+    for space in enumerate_preorders(4):
+        form, perm = canonical_relabeling(space)
+        relations = [
+            (relabeled_relation(space, p), p) for p in itertools.permutations(range(len(space)))
+        ]
+        assert relabeled_relation(space, perm) == form
+        assert form == min(relation for relation, _ in relations)
+        assert perm == next(p for relation, p in relations if relation == form)
+
+
+def test_canonical_relabeling_ignores_labels():
+    vee = build_space(["r", "m", "l"], [("m", "l"), ("m", "r")])
+    assert canonical_relabeling(vee) == canonical_relabeling(VEE)
+    assert canonical_relabeling(EMPTY) == ((), ())
+
+
+def permutation_isomorphic(p, q):
+    """Some permutation carries the relation of p onto that of q."""
+    n = len(p)
+    return n == len(q) and any(
+        all(p.leq[x][y] == q.leq[perm[x]][perm[y]] for x in range(n) for y in range(n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def test_canonical_forms_agree_exactly_on_isomorphic_pairs():
+    spaces = enumerate_preorders(3)
+    for p in spaces:
+        for q in spaces:
+            iso = permutation_isomorphic(p, q)
+            assert (canonical_relabeling(p)[0] == canonical_relabeling(q)[0]) == iso
+            assert are_isomorphic(p, q) == iso
 
 
 @given(
