@@ -3,7 +3,8 @@
 ``lifting_check(f, g)`` holds when every commuting square with f on the
 left and g on the right admits a diagonal making both triangles commute.
 On top of that single decision procedure sit the named characterizations
-(surjective, T0, Hausdorff, ...), orthogonal classes over a bounded
+(surjective, T0, Hausdorff, ...), one table of lifting forms that every
+property is decided through, orthogonal classes over a bounded
 universe, mono/epi tests over the spaces of a size bound, and the
 self-lifting scan.
 """
@@ -34,11 +35,6 @@ from .preorder import (
     monotone_assignments,
     to_point,
 )
-
-SPACE_PROPERTIES = ("connected", "T0", "T1", "hausdorff")
-MAP_PROPERTIES = ("surjective", "injective", "dense", "induced", "pi0-injective")
-PROPERTY_IDS = MAP_PROPERTIES + SPACE_PROPERTIES
-
 
 class HomCache:
     """Memoized hom-sets, confined to one query evaluation.
@@ -237,44 +233,47 @@ def _lift_all(
     return _HOLDS
 
 
+# The lifting form of each named property: the kind of argument it takes,
+# and a builder of the (left, right) pairs whose lifts together decide it.
+# Hausdorff quantifies over embeddings of the discrete pair, tested against
+# the three-point space with two open tops.  A repeated point can never be
+# sent to the two incomparable tops, so only injective pairs are quantified;
+# otherwise every nonempty space would fail.
+_FORMS = {
+    "surjective": (MonotoneMap, lambda f, cache: ((EMPTY_TO_PT, f),)),
+    "injective": (MonotoneMap, lambda f, cache: ((CODIAG, f),)),
+    "dense": (MonotoneMap, lambda f, cache: ((f, PT_TO_SIERP_CLOSED),)),
+    "induced": (MonotoneMap, lambda f, cache: ((f, SIERP_TO_PT),)),
+    "pi0-injective": (MonotoneMap, lambda f, cache: ((f, CODIAG),)),
+    "connected": (FinPreorder, lambda p, cache: ((to_point(p), CODIAG),)),
+    "T0": (FinPreorder, lambda p, cache: ((INDISC_TO_PT, to_point(p)),)),
+    "T1": (FinPreorder, lambda p, cache: ((SIERP_TO_PT, to_point(p)),)),
+    "hausdorff": (FinPreorder, lambda p, cache: (
+        (a, to_point(VEE)) for a in cache.hom(TWO, p) if is_injective(a)
+    )),
+}
+MAP_PROPERTIES = tuple(name for name, (kind, _) in _FORMS.items() if kind is MonotoneMap)
+SPACE_PROPERTIES = tuple(name for name, (kind, _) in _FORMS.items() if kind is FinPreorder)
+PROPERTY_IDS = MAP_PROPERTIES + SPACE_PROPERTIES
+
+
 def characterize(name: str, arg, cache: HomCache | None = None) -> LiftResult:
     """Decide a named property of a space or map via its lifting form.
 
     Space properties (connected, T0, T1, hausdorff) take a FinPreorder;
-    the rest take a MonotoneMap.  Each formula plugs the argument and the
-    built-in constant maps into lifting_check.
+    the rest take a MonotoneMap.  The property's ``_FORMS`` entry builds
+    (left, right) pairs from the argument and the built-in constant maps;
+    it holds when all lift, else the first failing lift is returned.
     """
-    if name in SPACE_PROPERTIES:
-        if not isinstance(arg, FinPreorder):
-            raise ValueError(f"property {name!r} applies to a space, got {type(arg).__name__}")
-    elif name in MAP_PROPERTIES:
-        if not isinstance(arg, MonotoneMap):
-            raise ValueError(f"property {name!r} applies to a map, got {type(arg).__name__}")
-    else:
+    form = _FORMS.get(name)
+    if form is None:
         raise ValueError(f"unknown property {name!r}")
+    kind, pairs = form
+    if not isinstance(arg, kind):
+        noun = "map" if kind is MonotoneMap else "space"
+        raise ValueError(f"property {name!r} applies to a {noun}, got {type(arg).__name__}")
     cache = HomCache() if cache is None else cache
-    if name == "surjective":
-        return lifting_check(EMPTY_TO_PT, arg, cache)
-    if name == "injective":
-        return lifting_check(CODIAG, arg, cache)
-    if name == "dense":
-        return lifting_check(arg, PT_TO_SIERP_CLOSED, cache)
-    if name == "induced":
-        return lifting_check(arg, SIERP_TO_PT, cache)
-    if name == "pi0-injective":
-        return lifting_check(arg, CODIAG, cache)
-    if name == "connected":
-        return lifting_check(to_point(arg), CODIAG, cache)
-    if name == "T0":
-        return lifting_check(INDISC_TO_PT, to_point(arg), cache)
-    if name == "T1":
-        return lifting_check(SIERP_TO_PT, to_point(arg), cache)
-    # hausdorff: conjunction over embeddings of the discrete pair, tested
-    # against the three-point space with two open tops.  A repeated point
-    # can never be sent to the two incomparable tops, so only injective
-    # pairs are quantified; otherwise every nonempty space would fail.
-    injective_pairs = (pair for pair in cache.hom(TWO, arg) if is_injective(pair))
-    return _lift_all(((pair, to_point(VEE)) for pair in injective_pairs), cache)
+    return _lift_all(pairs(arg, cache), cache)
 
 
 class Universe(Value):
@@ -389,6 +388,7 @@ def orthogonal_class(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     cache = HomCache() if cache is None else cache
+    right = side == "right"
     relabelings = _Relabelings()
     verdicts: dict[tuple, bool] = {}
     out = []
@@ -399,11 +399,8 @@ def orthogonal_class(
         key = (p_form, q_form, tuple(q_inverse[assign[x]] for x in p_perm))
         ok = verdicts.get(key)
         if ok is None:
-            if side == "right":
-                ok = all(lifting_check(t, m, cache).holds for t in tests)
-            else:
-                ok = all(lifting_check(m, t, cache).holds for t in tests)
-            verdicts[key] = ok
+            pairs = ((t, m) if right else (m, t) for t in tests)
+            ok = verdicts[key] = _lift_all(pairs, cache).holds
         if ok:
             out.append(m)
     return out

@@ -187,9 +187,6 @@ class FinPreorder(Value):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -203,14 +200,6 @@ class FinPreorder(Value):
     def down_set(self, x: int) -> frozenset[int]:
         """Closure of the point x: everything below it."""
         return frozenset(y for y in range(len(self)) if self.leq[y][x])
-
-    def related_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (self.labels[x], self.labels[y])
-            for x in range(len(self))
-            for y in range(len(self))
-            if self.leq[x][y]
-        )
 
     def __repr__(self) -> str:
         strict = [
@@ -487,16 +476,16 @@ def diagonal(space: FinPreorder) -> MonotoneMap:
     return MonotoneMap(space, square, tuple(x * n + x for x in range(n)))
 
 
-def enumerate_preorders(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> list[FinPreorder]:
+def enumerate_preorders(n: int) -> list[FinPreorder]:
     """All labeled preorders on carriers of size 0..n, each exactly once.
 
     Labels are canonical (e0, e1, ...).  Within one size, matrices come out
-    in row-major lexicographic order.  Raises when n exceeds the cap.
+    in row-major lexicographic order.  Raises when n exceeds DEFAULT_SIZE_CAP.
     """
     if n < 0:
         raise ValueError("size bound must be nonnegative")
-    if n > size_cap:
-        raise ValueError(f"size bound {n} exceeds the hard cap {size_cap}")
+    if n > DEFAULT_SIZE_CAP:
+        raise ValueError(f"size bound {n} exceeds the hard cap {DEFAULT_SIZE_CAP}")
     out: list[FinPreorder] = []
     for k in range(n + 1):
         labels = tuple(f"e{i}" for i in range(k))

@@ -1,16 +1,19 @@
 """Agreement suites between the lifting characterizations and the direct oracles.
 
 Each suite sweeps a bounded universe exhaustively and counts mismatches;
-a correct engine reports zero everywhere.  Map-quantified suites cap at
-size 3, space-quantified suites follow the requested bound, and the
-mono/epi and self-lifting suites are pinned to the size-2 universe where
-their equivalences are meaningful.
+a correct engine reports zero everywhere.  Each property of the lifting
+table gets one suite, then come mono, epi and self-lifting.  Map-quantified
+suites cap at size 3, space-quantified suites follow the requested bound,
+and the mono/epi and self-lifting suites are pinned to the size-2 universe
+where their equivalences are meaningful.
 """
 
 from __future__ import annotations
 
 from ._value import Value
 from .lifting import (
+    MAP_PROPERTIES,
+    SPACE_PROPERTIES,
     HomCache,
     Universe,
     characterize,
@@ -31,7 +34,7 @@ from .oracles import (
     is_surjective,
     pi0_injective,
 )
-from .preorder import FinPreorder, MonotoneMap, enumerate_preorders, is_isomorphism
+from .preorder import MonotoneMap, enumerate_preorders, is_isomorphism
 
 MAP_SUITE_CAP = 3
 STRUCTURE_SIZE = 2
@@ -49,63 +52,24 @@ def _describe(f: MonotoneMap) -> str:
     return f"{f!r} from {f.source!r} to {f.target!r}"
 
 
-def _map_property_suite(name, oracle, universe: Universe, cache: HomCache) -> SuiteReport:
+def _suite(name: str, instances, agrees, describe) -> SuiteReport:
+    """Count the instances on which ``agrees`` fails, describing the first."""
     mismatches, first = 0, None
-    for f in universe.maps:
-        if characterize(name, f, cache).holds != oracle(f):
+    for x in instances:
+        if not agrees(x):
             mismatches += 1
             if first is None:
-                first = _describe(f)
-    return SuiteReport(name, len(universe.maps), mismatches, first)
-
-
-def _space_property_suite(name, oracle, spaces: tuple[FinPreorder, ...], cache) -> SuiteReport:
-    mismatches, first = 0, None
-    for space in spaces:
-        if characterize(name, space, cache).holds != oracle(space):
-            mismatches += 1
-            if first is None:
-                first = repr(space)
-    return SuiteReport(name, len(spaces), mismatches, first)
-
-
-def _mono_suite(universe: Universe, cache: HomCache) -> SuiteReport:
-    mismatches, first = 0, None
-    for f in universe.maps:
-        lifted = is_mono_upto(f, universe.spaces, cache)
-        cancelled = is_mono_cancellation(f, universe.spaces)
-        if not (lifted == cancelled == is_injective(f)):
-            mismatches += 1
-            if first is None:
-                first = _describe(f)
-    return SuiteReport("mono", len(universe.maps), mismatches, first)
-
-
-def _epi_suite(universe: Universe, cache: HomCache) -> SuiteReport:
-    mismatches, first = 0, None
-    for f in universe.maps:
-        lifted = is_epi_upto(f, universe.spaces, cache)
-        cancelled = is_epi_cancellation(f, universe.spaces)
-        if not (lifted == cancelled == is_surjective(f)):
-            mismatches += 1
-            if first is None:
-                first = _describe(f)
-    return SuiteReport("epi", len(universe.maps), mismatches, first)
-
-
-def _self_lifting_suite(universe: Universe, cache: HomCache) -> SuiteReport:
-    holding = set(self_lifting_scan(universe, cache))
-    mismatches, first = 0, None
-    for f in universe.maps:
-        if (f in holding) != is_isomorphism(f):
-            mismatches += 1
-            if first is None:
-                first = _describe(f)
-    return SuiteReport("self-lifting", len(universe.maps), mismatches, first)
+                first = describe(x)
+    return SuiteReport(name, len(instances), mismatches, first)
 
 
 def verify_paper(max_size: int) -> list[SuiteReport]:
-    """Run every suite at the given space-size bound, in a fixed order."""
+    """Run every suite at the given space-size bound, in a fixed order.
+
+    The property suites, in PROPERTY_IDS order, compare ``characterize`` with
+    the oracle each name is paired with here.  Every function is looked up
+    in this module at call time, so wrappers installed on it see each call.
+    """
     if not 1 <= max_size <= 4:
         raise ValueError(f"max_size must be between 1 and 4, got {max_size}")
     cache = HomCache()
@@ -115,17 +79,34 @@ def verify_paper(max_size: int) -> list[SuiteReport]:
         structure = map_universe
     else:
         structure = Universe.build(STRUCTURE_SIZE, cache)
-    return [
-        _map_property_suite("surjective", is_surjective, map_universe, cache),
-        _map_property_suite("injective", is_injective, map_universe, cache),
-        _map_property_suite("dense", has_dense_image, map_universe, cache),
-        _map_property_suite("induced", has_induced_topology, map_universe, cache),
-        _map_property_suite("pi0-injective", pi0_injective, map_universe, cache),
-        _space_property_suite("connected", is_connected, spaces, cache),
-        _space_property_suite("T0", is_T0, spaces, cache),
-        _space_property_suite("T1", is_T1, spaces, cache),
-        _space_property_suite("hausdorff", is_hausdorff, spaces, cache),
-        _mono_suite(structure, cache),
-        _epi_suite(structure, cache),
-        _self_lifting_suite(structure, cache),
+    oracles = {
+        "surjective": is_surjective, "injective": is_injective, "dense": has_dense_image,
+        "induced": has_induced_topology, "pi0-injective": pi0_injective,
+        "connected": is_connected, "T0": is_T0, "T1": is_T1, "hausdorff": is_hausdorff,
+    }
+
+    def lifts_as_oracle(name):
+        oracle = oracles[name]
+        return lambda x: characterize(name, x, cache).holds == oracle(x)
+
+    reports = [
+        _suite(name, map_universe.maps, lifts_as_oracle(name), _describe)
+        for name in MAP_PROPERTIES
     ]
+    reports += [_suite(name, spaces, lifts_as_oracle(name), repr) for name in SPACE_PROPERTIES]
+    tests, maps = structure.spaces, structure.maps
+
+    def mono(f):
+        return is_mono_upto(f, tests, cache) == is_mono_cancellation(f, tests) == is_injective(f)
+
+    def epi(f):
+        return is_epi_upto(f, tests, cache) == is_epi_cancellation(f, tests) == is_surjective(f)
+
+    def self_lifts(f):
+        return (f in holding) == is_isomorphism(f)
+
+    reports.append(_suite("mono", maps, mono, _describe))
+    reports.append(_suite("epi", maps, epi, _describe))
+    holding = set(self_lifting_scan(structure, cache))
+    reports.append(_suite("self-lifting", maps, self_lifts, _describe))
+    return reports

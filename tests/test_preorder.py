@@ -95,18 +95,18 @@ def test_build_space_singleton():
 
 def test_build_space_two_chain_closure():
     space = build_space(["b", "s"], [("b", "s")])
-    assert space.related_pairs() == (("b", "b"), ("b", "s"), ("s", "s"))
+    assert space.leq == ((True, True), (False, True))
 
 
 def test_build_space_symmetric_closure():
     space = build_space(["x", "y"], [("x", "y"), ("y", "x")])
-    assert len(space.related_pairs()) == 4
+    assert space.leq == ((True, True), (True, True))
 
 
 def test_build_space_longer_chain_closes_transitively():
     space = build_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert space.le(0, 2)
-    assert not space.le(2, 0)
+    assert space.leq[0][2]
+    assert not space.leq[2][0]
 
 
 def test_build_space_keeps_declaration_order():
@@ -126,7 +126,7 @@ def test_build_space_rejects_unknown_label_in_pair():
 
 def test_empty_space_is_legal():
     assert len(EMPTY) == 0
-    assert EMPTY.related_pairs() == ()
+    assert EMPTY.leq == ()
 
 
 def test_finpreorder_rejects_bad_relations():
@@ -283,7 +283,7 @@ def test_universe_2_has_ten_isomorphisms():
 def test_coproduct_of_points_is_discrete_pair():
     space, (inl, inr) = coproduct(PT, PT)
     assert space.labels == ("pt_1", "pt_2")
-    assert not space.le(0, 1) and not space.le(1, 0)
+    assert not space.leq[0][1] and not space.leq[1][0]
     assert inl.assign == (0,) and inr.assign == (1,)
 
 
@@ -292,7 +292,7 @@ def test_coproduct_has_no_cross_relations():
     assert len(space) == 5
     for x in range(2):
         for y in range(2, 5):
-            assert not space.le(x, y) and not space.le(y, x)
+            assert not space.leq[x][y] and not space.leq[y][x]
     assert compose(MonotoneMap(SIERP, SIERP, (0, 1)), inl).assign == inl.assign
 
 
@@ -305,9 +305,9 @@ def test_codiagonal_folds_both_summands():
 def test_product_of_sierpinski_squares():
     space, (proj1, proj2) = product(SIERP, SIERP)
     assert space.labels == ("b_b", "b_s", "s_b", "s_s")
-    assert len(space.related_pairs()) == 9
-    assert space.le(0, 3)
-    assert not space.le(1, 2) and not space.le(2, 1)
+    assert sum(map(sum, space.leq)) == 9
+    assert space.leq[0][3]
+    assert not space.leq[1][2] and not space.leq[2][1]
     assert proj1.assign == (0, 0, 1, 1)
     assert proj2.assign == (0, 1, 0, 1)
 
@@ -316,8 +316,8 @@ def test_product_order_is_componentwise():
     space, (proj1, proj2) = product(VEE, SIERP)
     for x in range(len(space)):
         for y in range(len(space)):
-            expected = VEE.le(proj1(x), proj1(y)) and SIERP.le(proj2(x), proj2(y))
-            assert space.le(x, y) == expected
+            expected = VEE.leq[proj1(x)][proj1(y)] and SIERP.leq[proj2(x)][proj2(y)]
+            assert space.leq[x][y] == expected
 
 
 def test_diagonal_into_discrete_product_is_injective():
@@ -378,7 +378,6 @@ def test_enumeration_respects_hard_cap():
         enumerate_preorders(6)
     with pytest.raises(ValueError, match="nonnegative"):
         enumerate_preorders(-1)
-    assert len(enumerate_preorders(6, size_cap=6)) > len(enumerate_preorders(5))
 
 
 def test_dedupe_up_to_iso_counts():

@@ -1,8 +1,20 @@
 """Agreement suites: shape, ordering, and instance counts."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from liftprop import SuiteReport, verify_paper
+import liftprop
+import liftprop.cli
+from liftprop import (
+    MAP_PROPERTIES,
+    PROPERTY_IDS,
+    SPACE_PROPERTIES,
+    SuiteReport,
+    verify,
+    verify_paper,
+)
 
 SUITE_ORDER = [
     "surjective",
@@ -47,3 +59,31 @@ def test_size_bound_is_enforced():
         verify_paper(0)
     with pytest.raises(ValueError):
         verify_paper(5)
+
+
+def test_lifting_table_is_the_single_source_of_properties():
+    assert MAP_PROPERTIES == ("surjective", "injective", "dense", "induced", "pi0-injective")
+    assert SPACE_PROPERTIES == ("connected", "T0", "T1", "hausdorff")
+    assert PROPERTY_IDS == MAP_PROPERTIES + SPACE_PROPERTIES
+    assert [r.suite for r in verify_paper(1)] == [*PROPERTY_IDS, "mono", "epi", "self-lifting"]
+
+
+def test_benchmark_tracer_sees_every_suite_and_oracle():
+    # The benchmark times each suite by wrapping names on liftprop.verify,
+    # so verify_paper must call each of them through the module.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = verify.characterize
+    tracer = tracing.Tracer(liftprop)
+    tracer.install()
+    try:
+        verify_paper(2)
+    finally:
+        tracer.uninstall()
+    seen = {span[0] for span in tracer.spans}
+    for suite, names in tracing.SUITE_SPANS.items():
+        assert set(names) <= seen, suite
+    assert {f"oracles.{name}" for name in tracing.ORACLES} <= seen
+    assert verify.characterize is original
