@@ -16,7 +16,6 @@ from .lifting import (
     HomCache,
     PROPERTY_IDS,
     SPACE_PROPERTIES,
-    Universe,
     characterize,
     epi_lift_result,
     lifting_check,
@@ -143,9 +142,9 @@ def execute_query(query: Query, env: Env) -> Outcome:
         spaces = tuple(enumerate_preorders(query.size))
         return LiftOutcome(text, epi_lift_result(env.maps[query.name], spaces, cache))
     if isinstance(query, OrthogonalQuery):
-        universe = Universe.build(query.size, cache)
         tests = [env.maps[t] for t in query.tests]
-        return MapListOutcome(text, tuple(orthogonal_class(query.side, tests, universe, cache)))
+        spaces = enumerate_preorders(query.size)
+        return MapListOutcome(text, tuple(orthogonal_class(query.side, tests, spaces, cache)))
     if isinstance(query, HomQuery):
         return MapListOutcome(text, cache.hom(env.spaces[query.source], env.spaces[query.target]))
     if isinstance(query, EnumerateQuery):

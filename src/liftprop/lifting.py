@@ -4,8 +4,8 @@
 left and g on the right admits a diagonal making both triangles commute.
 On top of that single decision procedure sit the named characterizations
 (surjective, T0, Hausdorff, ...), one table of lifting forms that every
-property is decided through, orthogonal classes over a bounded
-universe, mono/epi tests over the spaces of a size bound, and the
+property is decided through, orthogonal classes over the maps between
+given spaces, mono/epi tests over the spaces of a size bound, and the
 self-lifting scan.
 """
 
@@ -350,59 +350,56 @@ def is_epi_cancellation(
     return True
 
 
-class _Relabelings(dict):
-    """canonical_relabeling memoised per space, for one orthogonal_class call.
-
-    Each space maps to its form, its permutation and that permutation's
-    inverse, computed on the first lookup.
-    """
-
-    def __missing__(self, space: FinPreorder) -> tuple:
-        form, perm = canonical_relabeling(space)
-        move = self[space] = (form, perm, tuple(map(perm.index, range(len(perm)))))
-        return move
-
-
 def orthogonal_class(
     side: str,
     tests: list[MonotoneMap],
-    universe: Universe,
+    spaces: Iterable[FinPreorder],
     cache: HomCache | None = None,
 ) -> list[MonotoneMap]:
-    """Maps of the universe lifting against every test, on the given side.
+    """Maps between the given spaces lifting against every test, on the given side.
 
     side="right" keeps g with t lifting against g for all tests t;
-    side="left" keeps f with f lifting against all tests.  Output follows
-    universe order.
+    side="left" keeps f with f lifting against all tests.  ``spaces`` is
+    read once.  Output runs over (source, target) pairs in ``spaces``
+    order, source outer, and each hom-set in hom_enumerate order.
 
-    Verdicts are shared within a relabeling class.  A map m: P -> Q is
-    keyed by the canonical forms of P and Q and by m moved onto them: the
-    assignment x |-> b^-1(m(a(x))), where a and b are the permutations
-    canonical_relabeling gives for P and Q.  Two maps with one key are
-    isomorphic in the arrow category, through the relabelings onto the
-    shared forms, and a lifting property against a fixed test is
-    invariant under such isomorphisms: a commuting square, and a diagonal
-    of it, transport along them.  So only the first map of each key, in
-    universe order, is decided; every later one reuses its verdict.
+    Only maps between representatives are decided: one space
+    FinPreorder(("e0", ...), form) per canonical form.  canonical_relabeling
+    carries a space P onto its representative by perm_P (point x of the
+    representative is point perm_P[x] of P), so a0: P0 -> Q0 moves to
+    a: P -> Q with a[perm_P[x]] = perm_Q[a0[x]].  The move is an
+    isomorphism in the arrow category, and a lifting property against a
+    fixed test is invariant under those: a commuting square, and a
+    diagonal of it, transport along them.  So the moved holding maps of
+    hom(P0, Q0), sorted, are the holding maps of hom(P, Q) in
+    hom_enumerate order, and no failing labeled map is built.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     cache = HomCache() if cache is None else cache
     right = side == "right"
-    relabelings = _Relabelings()
-    verdicts: dict[tuple, bool] = {}
+    representatives: dict[tuple, FinPreorder] = {}
+    moves = []
+    for space in spaces:
+        form, perm = canonical_relabeling(space)
+        rep = representatives.get(form)
+        if rep is None:
+            labels = tuple(f"e{x}" for x in range(len(perm)))
+            rep = representatives[form] = FinPreorder(labels, form)
+        moves.append((space, rep, perm, tuple(map(perm.index, range(len(perm))))))
+    holding: dict[tuple[FinPreorder, FinPreorder], list[tuple[int, ...]]] = {}
     out = []
-    for m in universe.maps:
-        p_form, p_perm, _ = relabelings[m.source]
-        q_form, _, q_inverse = relabelings[m.target]
-        assign = m.assign
-        key = (p_form, q_form, tuple(q_inverse[assign[x]] for x in p_perm))
-        ok = verdicts.get(key)
-        if ok is None:
-            pairs = ((t, m) if right else (m, t) for t in tests)
-            ok = verdicts[key] = _lift_all(pairs, cache).holds
-        if ok:
-            out.append(m)
+    for p, p_rep, _, p_inverse in moves:
+        for q, q_rep, q_perm, _ in moves:
+            kept = holding.get((p_rep, q_rep))
+            if kept is None:
+                kept = holding[p_rep, q_rep] = [
+                    m.assign
+                    for m in cache.hom(p_rep, q_rep)
+                    if _lift_all(((t, m) if right else (m, t) for t in tests), cache).holds
+                ]
+            moved = sorted(tuple([q_perm[a0[x]] for x in p_inverse]) for a0 in kept)
+            out.extend(MonotoneMap(p, q, a) for a in moved)
     return out
 
 

@@ -210,8 +210,8 @@ def test_criterion_5_enumeration_counts():
 def test_criterion_6_two_negations_differ():
     cache = HomCache()
     universe = Universe.build(2, cache)
-    left = orthogonal_class("left", [SIERP_TO_PT], universe, cache)
-    right = orthogonal_class("right", [SIERP_TO_PT], universe, cache)
+    left = orthogonal_class("left", [SIERP_TO_PT], universe.spaces, cache)
+    right = orthogonal_class("right", [SIERP_TO_PT], universe.spaces, cache)
     induced = [f for f in universe.maps if has_induced_topology(f)]
     to_singleton = [g for g in right if len(g.target) == 1]
     t1_spaces = {p for p in universe.spaces if is_T1(p)}

@@ -6,7 +6,7 @@ import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from liftprop import (
     CODIAG,
@@ -43,9 +43,9 @@ from liftprop import (
     to_point,
 )
 from liftprop import lifting
-from liftprop.cli import run_file
+from liftprop.cli import execute_query, run_file
 from liftprop.lifting import HomCache, Universe, fibre_table
-from liftprop.notation import BUILTIN_MAPS
+from liftprop.notation import BUILTIN_MAPS, Env, OrthogonalQuery
 from liftprop.preorder import FinPreorder, canonical_relabeling
 
 
@@ -344,14 +344,14 @@ def test_point_inclusion_is_mono_but_not_epi():
 
 def test_orthogonal_class_with_no_tests_is_everything():
     universe = Universe.build(1)
-    assert orthogonal_class("left", [], universe) == list(universe.maps)
-    assert orthogonal_class("right", [], universe) == list(universe.maps)
+    assert orthogonal_class("left", [], universe.spaces) == list(universe.maps)
+    assert orthogonal_class("right", [], universe.spaces) == list(universe.maps)
 
 
 def test_right_class_of_point_inclusion_is_the_surjections():
     universe = Universe.build(2)
     cache = HomCache()
-    got = orthogonal_class("right", [EMPTY_TO_PT], universe, cache)
+    got = orthogonal_class("right", [EMPTY_TO_PT], universe.spaces, cache)
     want = [f for f in universe.maps if is_surjective(f)]
     assert got == want
     assert len(got) == 24
@@ -360,7 +360,7 @@ def test_right_class_of_point_inclusion_is_the_surjections():
 def test_right_class_of_codiagonal_is_the_injections():
     universe = Universe.build(2)
     cache = HomCache()
-    got = orthogonal_class("right", [CODIAG], universe, cache)
+    got = orthogonal_class("right", [CODIAG], universe.spaces, cache)
     want = [f for f in universe.maps if is_injective(f)]
     assert got == want
 
@@ -368,15 +368,15 @@ def test_right_class_of_codiagonal_is_the_injections():
 def test_left_and_right_classes_differ():
     universe = Universe.build(2)
     cache = HomCache()
-    left = orthogonal_class("left", [SIERP_TO_PT], universe, cache)
-    right = orthogonal_class("right", [SIERP_TO_PT], universe, cache)
+    left = orthogonal_class("left", [SIERP_TO_PT], universe.spaces, cache)
+    right = orthogonal_class("right", [SIERP_TO_PT], universe.spaces, cache)
     assert len(left) == 32 and len(right) == 42
     assert set(left) != set(right)
 
 
 def test_orthogonal_class_rejects_bad_side():
     with pytest.raises(ValueError, match="side"):
-        orthogonal_class("middle", [], Universe.build(1))
+        orthogonal_class("middle", [], Universe.build(1).spaces)
 
 
 def per_map_orthogonal_class(side, tests, universe, cache):
@@ -395,7 +395,7 @@ TEST_LISTS["EMPTY_TO_PT+CODIAG"] = [EMPTY_TO_PT, CODIAG]
 def test_orthogonal_class_equals_the_per_map_loop(side, tests):
     universe = Universe.build(2)
     cache = HomCache()
-    assert orthogonal_class(side, tests, universe, cache) == per_map_orthogonal_class(
+    assert orthogonal_class(side, tests, universe.spaces, cache) == per_map_orthogonal_class(
         side, tests, universe, cache
     )
 
@@ -460,12 +460,73 @@ def test_orthogonal_class_decides_each_relabeling_class_once_per_test(monkeypatc
         return check(f, g, cache)
 
     monkeypatch.setattr(lifting, "lifting_check", counting_check)
-    got = orthogonal_class(side, tests, universe)
+    got = orthogonal_class(side, tests, universe.spaces)
     classes = {relabeling_class(m) for m in universe.maps}
     assert len(universe.maps) == 11345 and len(classes) == 1476
     assert len(calls) == len(set(calls)) <= len(classes) * len(tests)
     monkeypatch.setattr(lifting, "lifting_check", check)
     assert got == per_map_orthogonal_class(side, tests, universe, HomCache())
+
+
+def test_orthogonal_queries_never_build_a_universe(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("orthogonal queries must not build a universe")
+
+    monkeypatch.setattr(lifting.Universe, "build", classmethod(refuse))
+    env = Env({}, dict(BUILTIN_MAPS))
+    # Sizes of the left and right classes of SIERP_TO_PT at sizes 0-3.
+    want = {"left": [1, 3, 32, 1225], "right": [1, 3, 42, 3905]}
+    for side, sizes in want.items():
+        for size, count in enumerate(sizes):
+            outcome = execute_query(OrthogonalQuery(side, ("SIERP_TO_PT",), size), env)
+            assert len(outcome.maps) == count
+
+
+def test_orthogonal_class_builds_no_failing_labeled_map(monkeypatch):
+    validations = 0
+    validate = MonotoneMap.__post_init__
+
+    def counting_validate(self):
+        nonlocal validations
+        validations += 1
+        validate(self)
+
+    monkeypatch.setattr(MonotoneMap, "__post_init__", counting_validate)
+    got = orthogonal_class("left", [SIERP_TO_PT], enumerate_preorders(3))
+    # 1,476 maps between the 14 representatives, 52 tops in hom(P0, SIERP)
+    # and 14 bottoms in hom(Q0, PT) for the lifting checks, 2,076 diagonals
+    # found, and the 1,225 holding labeled maps.  Building the universe
+    # alone validates 11,345 maps.
+    assert len(got) == 1225
+    assert validations == 1476 + 52 + 14 + 2076 + 1225 == 4843
+
+
+@st.composite
+def relabeled_spaces(draw):
+    """A space of at most 3 points with its points, and their labels, permuted."""
+    space = draw(spaces(max_size=3))
+    return relabel(space, draw(st.permutations(range(len(space)))))
+
+
+ISO_SIERP = relabel(SIERP, (1, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(relabeled_spaces(), max_size=4))
+@example([])
+@example([SIERP, SIERP])
+@example([ISO_SIERP, SIERP, ISO_SIERP])
+@example([VEE, TWO])
+def test_orthogonal_class_on_any_spaces_equals_the_per_map_loop(space_list):
+    """Labels out of canonical order, repeated classes, lists without a
+    class's representative, and the empty list."""
+    cache = HomCache()
+    maps = tuple(m for p in space_list for q in space_list for m in cache.hom(p, q))
+    universe = Universe(3, tuple(space_list), maps)
+    for side in ("left", "right"):
+        for tests in TEST_LISTS.values():
+            got = orthogonal_class(side, tests, iter(space_list))
+            assert got == per_map_orthogonal_class(side, tests, universe, cache)
 
 
 GOLDEN = Path(__file__).parent / "golden"
