@@ -39,12 +39,14 @@ from .notation import (
     Outcome,
     ParseError,
     Query,
+    SIZE_CAPS,
     ValidationError,
     elaborate,
     encode_result,
     parse,
     print_query,
     print_result,
+    size_refusal,
 )
 from .preorder import DEFAULT_SIZE_CAP, enumerate_preorders
 from .verify import verify_paper
@@ -116,37 +118,54 @@ def _check_sizes(args: argparse.Namespace) -> None:
         )
     if args.command == "verify-paper" and not 1 <= max_size <= 4:
         raise ValidationError("verify-paper supports --max-size between 1 and 4")
-    if args.command == "enumerate" and not 0 <= args.size <= DEFAULT_SIZE_CAP:
+    if args.command == "orthogonal":
+        refusal = size_refusal("orthogonal", max_size, "--max-size")
+        if refusal is not None:
+            raise ValidationError(refusal)
+    if args.command == "enumerate" and not 0 <= args.size <= SIZE_CAPS["enumerate"]:
         raise ValidationError(
-            f"size must be between 0 and {DEFAULT_SIZE_CAP}, got {args.size}"
+            f"size must be between 0 and {SIZE_CAPS['enumerate']}, got {args.size}"
         )
+
+
+def _named(env: Env, kind: str, name: str):
+    """The space or map called `name`, refusing a name not in scope."""
+    table = env.spaces if kind == "space" else env.maps
+    if name not in table:
+        raise ValidationError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def execute_query(query: Query, env: Env) -> Outcome:
     """Evaluate one query against named spaces and maps.
 
-    Every query gets a fresh hom-set cache, so concurrent queries never
-    share state.
+    Every name is resolved here, so a query naming a space, map or
+    property not in scope is refused with a ValidationError.  Every query
+    gets a fresh hom-set cache, so concurrent queries never share state.
     """
     cache = HomCache()
     text = print_query(query)
     if isinstance(query, LiftQuery):
-        return LiftOutcome(text, lifting_check(env.maps[query.left], env.maps[query.right], cache))
+        left, right = _named(env, "map", query.left), _named(env, "map", query.right)
+        return LiftOutcome(text, lifting_check(left, right, cache))
     if isinstance(query, CheckQuery):
-        arg = env.spaces[query.arg] if query.prop in SPACE_PROPERTIES else env.maps[query.arg]
-        return LiftOutcome(text, characterize(query.prop, arg, cache))
-    if isinstance(query, MonoQuery):
-        spaces = tuple(enumerate_preorders(query.size))
-        return LiftOutcome(text, mono_lift_result(env.maps[query.name], spaces, cache))
-    if isinstance(query, EpiQuery):
-        spaces = tuple(enumerate_preorders(query.size))
-        return LiftOutcome(text, epi_lift_result(env.maps[query.name], spaces, cache))
+        if query.prop not in PROPERTY_IDS:
+            raise ValidationError(
+                f"unknown property {query.prop!r}; expected one of {', '.join(PROPERTY_IDS)}"
+            )
+        kind = "space" if query.prop in SPACE_PROPERTIES else "map"
+        return LiftOutcome(text, characterize(query.prop, _named(env, kind, query.arg), cache))
+    if isinstance(query, (MonoQuery, EpiQuery)):
+        decide = mono_lift_result if isinstance(query, MonoQuery) else epi_lift_result
+        f = _named(env, "map", query.name)
+        return LiftOutcome(text, decide(f, tuple(enumerate_preorders(query.size)), cache))
     if isinstance(query, OrthogonalQuery):
-        tests = [env.maps[t] for t in query.tests]
+        tests = [_named(env, "map", t) for t in query.tests]
         spaces = enumerate_preorders(query.size)
         return MapListOutcome(text, tuple(orthogonal_class(query.side, tests, spaces, cache)))
     if isinstance(query, HomQuery):
-        return MapListOutcome(text, cache.hom(env.spaces[query.source], env.spaces[query.target]))
+        source, target = _named(env, "space", query.source), _named(env, "space", query.target)
+        return MapListOutcome(text, cache.hom(source, target))
     if isinstance(query, EnumerateQuery):
         counts = [0] * (query.size + 1)
         for space in enumerate_preorders(query.size):
@@ -186,16 +205,6 @@ def _load_env(input_path: str | None) -> Env:
     return elaborate(parse(_read_program(input_path)))
 
 
-def _require_space(env: Env, name: str) -> None:
-    if name not in env.spaces:
-        raise ValidationError(f"unknown space {name!r}")
-
-
-def _require_map(env: Env, name: str) -> None:
-    if name not in env.maps:
-        raise ValidationError(f"unknown map {name!r}")
-
-
 def _run_verify(max_size: int, machine: bool, out) -> int:
     reports = verify_paper(max_size)
     if machine:
@@ -221,6 +230,16 @@ def _run_verify(max_size: int, machine: bool, out) -> int:
     return 0 if all(r.mismatches == 0 for r in reports) else 2
 
 
+# The query each single-query command builds from its arguments.
+_COMMAND_QUERIES = {
+    "lift": lambda args: LiftQuery(args.left, args.right),
+    "check": lambda args: CheckQuery(args.prop, args.name),
+    "orthogonal": lambda args: OrthogonalQuery(args.side, tuple(args.tests), args.max_size),
+    "hom": lambda args: HomQuery(args.source, args.target),
+    "enumerate": lambda args: EnumerateQuery(args.size),
+}
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     _check_sizes(args)
     out = sys.stdout
@@ -229,31 +248,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify-paper":
         return _run_verify(args.max_size, args.machine, out)
     env = _load_env(getattr(args, "input", None))
-    if args.command == "lift":
-        _require_map(env, args.left)
-        _require_map(env, args.right)
-        outcome = execute_query(LiftQuery(args.left, args.right), env)
-    elif args.command == "check":
-        if args.prop not in PROPERTY_IDS:
-            raise ValidationError(
-                f"unknown property {args.prop!r}; expected one of {', '.join(PROPERTY_IDS)}"
-            )
-        if args.prop in SPACE_PROPERTIES:
-            _require_space(env, args.name)
-        else:
-            _require_map(env, args.name)
-        outcome = execute_query(CheckQuery(args.prop, args.name), env)
-    elif args.command == "orthogonal":
-        for test in args.tests:
-            _require_map(env, test)
-        outcome = execute_query(OrthogonalQuery(args.side, tuple(args.tests), args.max_size), env)
-    elif args.command == "hom":
-        _require_space(env, args.source)
-        _require_space(env, args.target)
-        outcome = execute_query(HomQuery(args.source, args.target), env)
-    else:
-        outcome = execute_query(EnumerateQuery(args.size), env)
-    _emit(outcome, args.machine, out)
+    _emit(execute_query(_COMMAND_QUERIES[args.command](args), env), args.machine, out)
     return 0
 
 

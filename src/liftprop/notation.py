@@ -12,7 +12,8 @@ well-formed file can still fail validation with a named diagnostic.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import re
+from collections.abc import Callable, Iterator
 
 from ._value import Value
 from .lifting import PROPERTY_IDS, SPACE_PROPERTIES, LiftResult
@@ -50,10 +51,30 @@ BUILTIN_MAPS = {
     "INDISC_TO_PT": INDISC_TO_PT,
     "PT_TO_SIERP_CLOSED": PT_TO_SIERP_CLOSED,
 }
-KEYWORDS = frozenset(
-    ("space", "map", "lift", "check", "orthogonal", "mono", "epi", "hom", "enumerate",
-     "size", "left", "right")
-)
+
+# The largest size argument of each sized statement.  Preorders are
+# enumerated up to DEFAULT_SIZE_CAP points.  An orthogonal class lists
+# labeled maps, and there are 10,906,368,176 of them between preorders of
+# at most 5 points, so orthogonal stops at 4.
+SIZE_CAPS = {
+    "orthogonal": 4,
+    "mono": DEFAULT_SIZE_CAP,
+    "epi": DEFAULT_SIZE_CAP,
+    "enumerate": DEFAULT_SIZE_CAP,
+}
+
+
+def size_refusal(keyword: str, size: int, what: str) -> str | None:
+    """Why `keyword` refuses the size argument `what`, or None when it takes it."""
+    cap = SIZE_CAPS[keyword]
+    if size <= cap:
+        return None
+    if cap == DEFAULT_SIZE_CAP:
+        return f"{what} {size} exceeds the hard cap {cap}"
+    return (
+        f"{what} {size} exceeds the {keyword} cap {cap}: an orthogonal class lists "
+        "labeled maps, and there are 10,906,368,176 of them at size 5"
+    )
 
 
 class ParseError(ValueError):
@@ -85,56 +106,36 @@ class Token(Value):
     col: int
 
 
-_PUNCT = {
-    "{": "LBRACE", "}": "RBRACE", "[": "LBRACKET", "]": "RBRACKET",
-    ",": "COMMA", ":": "COLON", "=": "EQUALS", "<": "LT", "-": "MINUS",
-}
-
-
-def _is_name_char(c: str) -> bool:
-    return c == "_" or "0" <= c <= "9" or "a" <= c <= "z" or "A" <= c <= "Z"
+# One alternative per token kind, tried in order, so `|->` wins over `|>`
+# and `->` and `<>` win over `-` and `<`.  Blanks and comments make no
+# token; any other character is refused where it stands.
+_TOKEN_RE = re.compile(
+    r"""(?P<NEWLINE>\n) | (?P<BLANK>[ \t\r]+) | (?P<COMMENT>\#[^\n]*)
+      | (?P<NAME>[A-Za-z0-9_]+)
+      | (?P<MAPSTO>\|->) | (?P<LIFT>\|>) | (?P<ARROW>->) | (?P<LTGT><>)
+      | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<LBRACKET>\[) | (?P<RBRACKET>\])
+      | (?P<COMMA>,) | (?P<COLON>:) | (?P<EQUALS>=) | (?P<LT><) | (?P<MINUS>-)
+      | (?P<BAD>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based line and column; a tab or carriage return is one column."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _is_name_char(c):
-            j = i
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for spelling, kind in (("|->", "MAPSTO"), ("|>", "LIFT"), ("->", "ARROW"), ("<>", "LTGT")):
-            if text.startswith(spelling, i):
-                matched = (kind, spelling)
-                break
-        if matched is None and c in _PUNCT:
-            matched = (_PUNCT[c], c)
-        if matched is None:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-        kind, spelling = matched
-        tokens.append(Token(kind, spelling, line, col))
-        col += len(spelling)
-        i += len(spelling)
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, col = match.lastgroup, match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {match.group()!r}", line, col)
+        elif kind != "BLANK" and kind != "COMMENT":
+            tokens.append(Token(kind, match.group(), line, col))
+    # End of input sits at the `#` of a comment that runs up to it, and the
+    # first `#` of the last line starts such a comment.
+    end = text.find("#", line_start)
+    col = (len(text) if end < 0 else end) - line_start + 1
     tokens.append(Token("EOF", "end of input", line, col))
     return tokens
 
@@ -254,29 +255,25 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "NAME":
                 raise ParseError(f"expected a statement, found {tok.text!r}", tok.line, tok.col)
-            if tok.text == "space":
-                self.parse_space()
-            elif tok.text == "map":
-                self.parse_map()
-            elif tok.text == "lift":
-                self.parse_lift()
-            elif tok.text == "check":
-                self.parse_check()
-            elif tok.text == "orthogonal":
-                self.parse_orthogonal()
-            elif tok.text in ("mono", "epi"):
-                self.parse_mono_epi()
-            elif tok.text == "hom":
-                self.parse_hom()
-            elif tok.text == "enumerate":
-                self.parse_enumerate()
-            else:
+            statement = _STATEMENTS.get(tok.text)
+            if statement is None:
                 raise ParseError(
-                    "expected one of space, map, lift, check, orthogonal, mono, epi, "
-                    f"hom, enumerate; found {tok.text!r}",
+                    f"expected one of {', '.join(_STATEMENTS)}; found {tok.text!r}",
                     tok.line, tok.col,
                 )
+            statement(self)
         return Program(tuple(self.declarations), tuple(self.queries))
+
+    def comma_list(self, item: Callable[[], object], close: str, what: str) -> list:
+        """Comma-separated items, maybe none, then the closing token."""
+        items = []
+        if self.peek().kind != close:
+            items.append(item())
+            while self.peek().kind == "COMMA":
+                self.advance()
+                items.append(item())
+        self.expect(close, what)
+        return items
 
     def declared_name(self, kind: str) -> Token:
         tok = self.expect("NAME", f"a {kind} name")
@@ -298,16 +295,20 @@ class _Parser:
             raise ParseError(f"unknown map {tok.text!r}", tok.line, tok.col)
         return tok.text
 
-    def size_arg(self) -> int:
+    def label_in(self, space: str) -> Token:
+        tok = self.expect("NAME", "an element name")
+        if tok.text not in self.space_labels[space]:
+            raise ParseError(f"unknown label {tok.text!r} in space {space!r}", tok.line, tok.col)
+        return tok
+
+    def size_arg(self, keyword: str) -> int:
         tok = self.expect("NAME", "a number")
         if not tok.text.isdigit():
             raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
-        value = int(tok.text)
-        if value > DEFAULT_SIZE_CAP:
-            raise ParseError(
-                f"size {value} exceeds the hard cap {DEFAULT_SIZE_CAP}", tok.line, tok.col
-            )
-        return value
+        refusal = size_refusal(keyword, int(tok.text), "size")
+        if refusal is not None:
+            raise ParseError(refusal, tok.line, tok.col)
+        return int(tok.text)
 
     def parse_space(self) -> None:
         start = self.advance()
@@ -316,32 +317,22 @@ class _Parser:
             raise ParseError(f"space {name_tok.text!r} already declared", name_tok.line, name_tok.col)
         self.expect("EQUALS", "'='")
         self.expect("LBRACE", "'{'")
-        labels: list[str] = []
+        labels: dict[str, None] = {}
         generators: list[tuple[str, str]] = []
 
-        def note(label: str) -> None:
-            if label not in labels:
-                labels.append(label)
-
-        if self.peek().kind != "RBRACE":
-            while True:
-                first = self.expect("NAME", "an element name")
-                note(first.text)
-                if self.peek().kind == "LT":
-                    self.advance()
-                    second = self.expect("NAME", "an element name")
-                    note(second.text)
-                    generators.append((first.text, second.text))
-                elif self.peek().kind == "LTGT":
-                    self.advance()
-                    second = self.expect("NAME", "an element name")
-                    note(second.text)
-                    generators.append((first.text, second.text))
-                    generators.append((second.text, first.text))
-                if self.peek().kind != "COMMA":
-                    break
+        def item() -> None:
+            first = self.expect("NAME", "an element name").text
+            labels[first] = None
+            kind = self.peek().kind
+            if kind == "LT" or kind == "LTGT":
                 self.advance()
-        self.expect("RBRACE", "'}'")
+                second = self.expect("NAME", "an element name").text
+                labels[second] = None
+                generators.append((first, second))
+                if kind == "LTGT":
+                    generators.append((second, first))
+
+        self.comma_list(item, "RBRACE", "'}'")
         self.declarations.append(
             SpaceDecl(name_tok.text, tuple(labels), tuple(generators), start.line, start.col)
         )
@@ -358,43 +349,26 @@ class _Parser:
         target = self.space_ref()
         self.expect("EQUALS", "'='")
         brace = self.expect("LBRACE", "'{'")
-        source_labels = self.space_labels[source]
-        target_labels = self.space_labels[target]
-        pairs: list[tuple[str, str]] = []
-        assigned: set[str] = set()
-        if self.peek().kind != "RBRACE":
-            while True:
-                src_tok = self.expect("NAME", "an element name")
-                if src_tok.text not in source_labels:
-                    raise ParseError(
-                        f"unknown label {src_tok.text!r} in space {source!r}",
-                        src_tok.line, src_tok.col,
-                    )
-                if src_tok.text in assigned:
-                    raise ParseError(
-                        f"duplicate assignment for {src_tok.text!r}", src_tok.line, src_tok.col
-                    )
-                self.expect("MAPSTO", "'|->'")
-                tgt_tok = self.expect("NAME", "an element name")
-                if tgt_tok.text not in target_labels:
-                    raise ParseError(
-                        f"unknown label {tgt_tok.text!r} in space {target!r}",
-                        tgt_tok.line, tgt_tok.col,
-                    )
-                pairs.append((src_tok.text, tgt_tok.text))
-                assigned.add(src_tok.text)
-                if self.peek().kind != "COMMA":
-                    break
-                self.advance()
-        self.expect("RBRACE", "'}'")
-        for label in source_labels:
-            if label not in assigned:
+        image: dict[str, str] = {}
+
+        def assignment() -> None:
+            src_tok = self.label_in(source)
+            if src_tok.text in image:
+                raise ParseError(
+                    f"duplicate assignment for {src_tok.text!r}", src_tok.line, src_tok.col
+                )
+            self.expect("MAPSTO", "'|->'")
+            image[src_tok.text] = self.label_in(target).text
+
+        self.comma_list(assignment, "RBRACE", "'}'")
+        for label in self.space_labels[source]:
+            if label not in image:
                 raise ParseError(
                     f"map {name_tok.text!r} is not total: {label!r} is unassigned",
                     brace.line, brace.col,
                 )
         self.declarations.append(
-            MapDecl(name_tok.text, source, target, tuple(pairs), start.line, start.col)
+            MapDecl(name_tok.text, source, target, tuple(image.items()), start.line, start.col)
         )
         self.map_names.add(name_tok.text)
 
@@ -434,23 +408,16 @@ class _Parser:
                 side_tok.line, side_tok.col,
             )
         self.expect("LBRACKET", "'['")
-        tests: list[str] = []
-        if self.peek().kind != "RBRACKET":
-            while True:
-                tests.append(self.map_ref())
-                if self.peek().kind != "COMMA":
-                    break
-                self.advance()
-        self.expect("RBRACKET", "']'")
+        tests = self.comma_list(self.map_ref, "RBRACKET", "']'")
         self.expect_keyword("size")
-        size = self.size_arg()
+        size = self.size_arg("orthogonal")
         self.queries.append(OrthogonalQuery(side_tok.text, tuple(tests), size, start.line, start.col))
 
     def parse_mono_epi(self) -> None:
         start = self.advance()
         name = self.map_ref()
         self.expect_keyword("size")
-        size = self.size_arg()
+        size = self.size_arg(start.text)
         node = MonoQuery if start.text == "mono" else EpiQuery
         self.queries.append(node(name, size, start.line, start.col))
 
@@ -462,8 +429,24 @@ class _Parser:
 
     def parse_enumerate(self) -> None:
         start = self.advance()
-        size = self.size_arg()
+        size = self.size_arg("enumerate")
         self.queries.append(EnumerateQuery(size, start.line, start.col))
+
+
+# Each statement keyword and its parse method, in the order the "expected
+# one of" message lists them.
+_STATEMENTS = {
+    "space": _Parser.parse_space,
+    "map": _Parser.parse_map,
+    "lift": _Parser.parse_lift,
+    "check": _Parser.parse_check,
+    "orthogonal": _Parser.parse_orthogonal,
+    "mono": _Parser.parse_mono_epi,
+    "epi": _Parser.parse_mono_epi,
+    "hom": _Parser.parse_hom,
+    "enumerate": _Parser.parse_enumerate,
+}
+KEYWORDS = frozenset((*_STATEMENTS, "size", "left", "right"))
 
 
 def parse(text: str) -> Program:
@@ -580,25 +563,24 @@ def print_map(f: MonotoneMap, name: str = "f") -> str:
     return "\n".join(lines)
 
 
+# The canonical text of each query class; it parses back to an equal node.
+_QUERY_TEXT = {
+    LiftQuery: lambda q: f"lift {q.left} |> {q.right}",
+    CheckQuery: lambda q: f"check {q.prop} {q.arg}",
+    OrthogonalQuery: lambda q: f"orthogonal {q.side} [{', '.join(q.tests)}] size {q.size}",
+    MonoQuery: lambda q: f"mono {q.name} size {q.size}",
+    EpiQuery: lambda q: f"epi {q.name} size {q.size}",
+    HomQuery: lambda q: f"hom {q.source} {q.target}",
+    EnumerateQuery: lambda q: f"enumerate {q.size}",
+}
+
+
 def print_query(query: Query) -> str:
     """Canonical single-line text of a query; parses back to an equal node."""
-    if isinstance(query, LiftQuery):
-        return f"lift {query.left} |> {query.right}"
-    if isinstance(query, CheckQuery):
-        return f"check {query.prop} {query.arg}"
-    if isinstance(query, OrthogonalQuery):
-        tests = ", ".join(query.tests)
-        inner = f"[{tests}]" if tests else "[]"
-        return f"orthogonal {query.side} {inner} size {query.size}"
-    if isinstance(query, MonoQuery):
-        return f"mono {query.name} size {query.size}"
-    if isinstance(query, EpiQuery):
-        return f"epi {query.name} size {query.size}"
-    if isinstance(query, HomQuery):
-        return f"hom {query.source} {query.target}"
-    if isinstance(query, EnumerateQuery):
-        return f"enumerate {query.size}"
-    raise ValueError(f"not a query node: {query!r}")
+    text = _QUERY_TEXT.get(type(query))
+    if text is None:
+        raise ValueError(f"not a query node: {query!r}")
+    return text(query)
 
 
 class LiftOutcome(Value):

@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from liftprop.cli import main
+from liftprop import ValidationError, elaborate, parse
+from liftprop.cli import execute_query, main
+from liftprop.notation import (
+    CheckQuery,
+    EpiQuery,
+    HomQuery,
+    LiftQuery,
+    MonoQuery,
+    OrthogonalQuery,
+)
 
 
 def run_cli(*argv):
@@ -114,6 +123,49 @@ def test_orthogonal_rejects_bad_side(capsys):
 def test_max_size_bounds(capsys):
     assert run_cli("orthogonal", "left", "--max-size", "9") == 1
     assert "--max-size" in capsys.readouterr().err
+
+
+def refuse_enumeration(monkeypatch):
+    def enumeration(*args, **kwargs):
+        raise AssertionError("a refused query must not enumerate")
+
+    monkeypatch.setattr("liftprop.cli.enumerate_preorders", enumeration)
+
+
+def test_orthogonal_size_5_is_refused_before_any_enumeration(monkeypatch, tmp_path, capsys):
+    refuse_enumeration(monkeypatch)
+    assert run_cli("orthogonal", "left", "--max-size", "5") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-size 5 exceeds the orthogonal cap 4: ")
+    assert "10,906,368,176" in err
+    path = program(tmp_path, "space S = { a }\northogonal right [EMPTY_TO_PT] size 5\n")
+    assert run_cli("run", path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 2:37: size 5 exceeds the orthogonal cap 4: ")
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (LiftQuery("NOPE", "CODIAG"), "unknown map 'NOPE'"),
+        (LiftQuery("CODIAG", "NOPE"), "unknown map 'NOPE'"),
+        (HomQuery("NOPE", "PT"), "unknown space 'NOPE'"),
+        (HomQuery("PT", "NOPE"), "unknown space 'NOPE'"),
+        (CheckQuery("T0", "CODIAG"), "unknown space 'CODIAG'"),
+        (CheckQuery("dense", "SIERP"), "unknown map 'SIERP'"),
+        (CheckQuery("compact", "SIERP"), "unknown property 'compact'; expected one of "),
+        (OrthogonalQuery("left", ("CODIAG", "NOPE"), 2), "unknown map 'NOPE'"),
+        (MonoQuery("NOPE", 2), "unknown map 'NOPE'"),
+        (EpiQuery("NOPE", 2), "unknown map 'NOPE'"),
+    ],
+    ids=repr,
+)
+def test_execute_query_refuses_unknown_names(monkeypatch, query, message):
+    refuse_enumeration(monkeypatch)
+    with pytest.raises(ValidationError) as info:
+        execute_query(query, elaborate(parse("")))
+    assert info.value.message.startswith(message)
 
 
 def program(tmp_path, text):

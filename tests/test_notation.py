@@ -42,6 +42,7 @@ from liftprop.notation import (
     OrthogonalQuery,
     _brace,
     _space_items,
+    _tokenize,
 )
 
 
@@ -163,6 +164,87 @@ def test_size_errors():
     expect_error("enumerate 6", "hard cap", 1, 11)
     expect_error("mono CODIAG size x", "expected a number", 1, 18)
     expect_error("orthogonal up [] size 2", "'left' or 'right'", 1, 12)
+
+
+def test_orthogonal_is_capped_below_the_other_sized_statements():
+    expect_error("orthogonal left [] size 5", "exceeds the orthogonal cap 4", 1, 25)
+    expect_error("orthogonal right [CODIAG] size 6", "10,906,368,176", 1, 32)
+    expect_error("mono CODIAG size 6", "size 6 exceeds the hard cap 5", 1, 18)
+    assert parse("orthogonal left [] size 4").queries == (OrthogonalQuery("left", (), 4),)
+    assert parse("mono CODIAG size 5\nepi CODIAG size 5\nenumerate 5").queries == (
+        MonoQuery("CODIAG", 5), EpiQuery("CODIAG", 5), EnumerateQuery(5),
+    )
+
+
+def tokens(text):
+    return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+
+
+def test_every_token_kind_with_its_location():
+    assert tokens("x_1 |-> |> -> <>\n{ } [ ] , : = < -") == [
+        ("NAME", "x_1", 1, 1),
+        ("MAPSTO", "|->", 1, 5),
+        ("LIFT", "|>", 1, 9),
+        ("ARROW", "->", 1, 12),
+        ("LTGT", "<>", 1, 15),
+        ("LBRACE", "{", 2, 1),
+        ("RBRACE", "}", 2, 3),
+        ("LBRACKET", "[", 2, 5),
+        ("RBRACKET", "]", 2, 7),
+        ("COMMA", ",", 2, 9),
+        ("COLON", ":", 2, 11),
+        ("EQUALS", "=", 2, 13),
+        ("LT", "<", 2, 15),
+        ("MINUS", "-", 2, 17),
+        ("EOF", "end of input", 2, 18),
+    ]
+
+
+def test_longer_spellings_win_without_blanks():
+    assert [kind for kind, *_ in tokens("a<>b<c|->d|>e-->f")] == [
+        "NAME", "LTGT", "NAME", "LT", "NAME", "MAPSTO", "NAME", "LIFT", "NAME",
+        "MINUS", "ARROW", "NAME", "EOF",
+    ]
+
+
+def test_tab_and_carriage_return_are_one_column_each():
+    assert tokens("\ta\r\tb\r\nc") == [
+        ("NAME", "a", 1, 2),
+        ("NAME", "b", 1, 5),
+        ("NAME", "c", 2, 1),
+        ("EOF", "end of input", 2, 2),
+    ]
+
+
+def test_comment_runs_to_end_of_line():
+    assert tokens("a # b { ? \u00e9\nc") == [
+        ("NAME", "a", 1, 1),
+        ("NAME", "c", 2, 1),
+        ("EOF", "end of input", 2, 2),
+    ]
+
+
+def test_end_of_input_after_a_trailing_comment_stays_at_the_hash():
+    assert tokens("a  # note # more")[-1] == ("EOF", "end of input", 1, 4)
+    assert tokens("a\n\t# note")[-1] == ("EOF", "end of input", 2, 2)
+    assert tokens("a # note\n")[-1] == ("EOF", "end of input", 2, 1)
+    expect_error("lift CODIAG |> # the right map is missing", "found 'end of input'", 1, 16)
+
+
+def test_non_ascii_characters_are_refused_where_they_stand():
+    expect_error("space S = { \u00e9 }", "unexpected character '\u00e9'", 1, 13)
+    expect_error("\n  enumerate \u0663", "unexpected character '\u0663'", 2, 13)
+    expect_error("space S = {\u00a0}", "unexpected character '\\xa0'", 1, 12)
+
+
+def test_statement_error_lists_the_keywords_in_order():
+    expect_error(
+        "space S = { }\nsize 3",
+        "expected one of space, map, lift, check, orthogonal, mono, epi, hom, enumerate; "
+        "found 'size'",
+        2, 1,
+    )
+    expect_error("{ }", "expected a statement, found '{'", 1, 1)
 
 
 def test_monotonicity_is_a_validation_error_not_a_parse_error():
