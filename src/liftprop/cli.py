@@ -119,13 +119,12 @@ def _check_sizes(args: argparse.Namespace) -> None:
     if args.command == "verify-paper" and not 1 <= max_size <= 4:
         raise ValidationError("verify-paper supports --max-size between 1 and 4")
     if args.command == "orthogonal":
-        refusal = size_refusal("orthogonal", max_size, "--max-size")
+        refusal = size_refusal("orthogonal", str(max_size), "--max-size")
         if refusal is not None:
             raise ValidationError(refusal)
-    if args.command == "enumerate" and not 0 <= args.size <= SIZE_CAPS["enumerate"]:
-        raise ValidationError(
-            f"size must be between 0 and {SIZE_CAPS['enumerate']}, got {args.size}"
-        )
+    cap = SIZE_CAPS["enumerate"][0]
+    if args.command == "enumerate" and not 0 <= args.size <= cap:
+        raise ValidationError(f"size must be between 0 and {cap}, got {args.size}")
 
 
 def _named(env: Env, kind: str, name: str):

@@ -326,26 +326,26 @@ def is_mono_cancellation(
     The probe maps Z -> source(f) are enumerated in full, so f itself may
     have endpoints that are not test spaces.
     """
-    return _cancellable(f, spaces, cache, True)
+    cache = HomCache() if cache is None else cache
+    for z in spaces:
+        candidates = cache.hom(z, f.source)
+        for a, g1 in enumerate(candidates):
+            for g2 in candidates[a + 1 :]:
+                if compose(g1, f) == compose(g2, f):
+                    return False
+    return True
 
 
 def is_epi_cancellation(
     f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
 ) -> bool:
     """Direct epi definition: f is right-cancellable against the test spaces."""
-    return _cancellable(f, spaces, cache, False)
-
-
-def _cancellable(
-    f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None, mono: bool
-) -> bool:
-    """Whether distinct probes Z -> source f (mono) or target f -> Z (epi) stay apart through f."""
     cache = HomCache() if cache is None else cache
     for z in spaces:
-        probes = cache.hom(z, f.source) if mono else cache.hom(f.target, z)
-        for a, u in enumerate(probes):
-            for v in probes[a + 1 :]:
-                if (compose(u, f) == compose(v, f)) if mono else (compose(f, u) == compose(f, v)):
+        candidates = cache.hom(f.target, z)
+        for a, h1 in enumerate(candidates):
+            for h2 in candidates[a + 1 :]:
+                if compose(f, h1) == compose(f, h2):
                     return False
     return True
 

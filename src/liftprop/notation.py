@@ -52,29 +52,30 @@ BUILTIN_MAPS = {
     "PT_TO_SIERP_CLOSED": PT_TO_SIERP_CLOSED,
 }
 
-# The largest size argument of each sized statement.  Preorders are
-# enumerated up to DEFAULT_SIZE_CAP points.  An orthogonal class lists
-# labeled maps, and there are 10,906,368,176 of them between preorders of
-# at most 5 points, so orthogonal stops at 4.
-SIZE_CAPS = {
-    "orthogonal": 4,
-    "mono": DEFAULT_SIZE_CAP,
-    "epi": DEFAULT_SIZE_CAP,
-    "enumerate": DEFAULT_SIZE_CAP,
+# The largest size argument of each sized statement, and why it is lower
+# than DEFAULT_SIZE_CAP, the largest preorder enumerated, where it is.
+SIZE_CAPS: dict[str, tuple[int, str | None]] = {
+    "orthogonal": (4, "an orthogonal class lists labeled maps, and there are "
+                      "10,906,368,176 of them at size 5"),
+    "mono": (DEFAULT_SIZE_CAP, None),
+    "epi": (DEFAULT_SIZE_CAP, None),
+    "enumerate": (DEFAULT_SIZE_CAP, None),
 }
 
 
-def size_refusal(keyword: str, size: int, what: str) -> str | None:
-    """Why `keyword` refuses the size argument `what`, or None when it takes it."""
-    cap = SIZE_CAPS[keyword]
-    if size <= cap:
+def size_refusal(keyword: str, size: str, what: str) -> str | None:
+    """Why `keyword` refuses the size argument `what`, or None when it takes it.
+
+    `size` is a natural number's decimal digits without leading zeros.  It
+    is compared by length first, so a number longer than int() converts
+    (4,300 digits) is refused like any other.
+    """
+    cap, reason = SIZE_CAPS[keyword]
+    if len(size) <= len(str(cap)) and int(size) <= cap:
         return None
-    if cap == DEFAULT_SIZE_CAP:
+    if reason is None:
         return f"{what} {size} exceeds the hard cap {cap}"
-    return (
-        f"{what} {size} exceeds the {keyword} cap {cap}: an orthogonal class lists "
-        "labeled maps, and there are 10,906,368,176 of them at size 5"
-    )
+    return f"{what} {size} exceeds the {keyword} cap {cap}: {reason}"
 
 
 class ParseError(ValueError):
@@ -305,10 +306,11 @@ class _Parser:
         tok = self.expect("NAME", "a number")
         if not tok.text.isdigit():
             raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
-        refusal = size_refusal(keyword, int(tok.text), "size")
+        digits = tok.text.lstrip("0") or "0"
+        refusal = size_refusal(keyword, digits, "size")
         if refusal is not None:
             raise ParseError(refusal, tok.line, tok.col)
-        return int(tok.text)
+        return int(digits)
 
     def parse_space(self) -> None:
         start = self.advance()

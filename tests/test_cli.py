@@ -145,6 +145,14 @@ def test_orthogonal_size_5_is_refused_before_any_enumeration(monkeypatch, tmp_pa
     assert captured.err.startswith("error: 2:37: size 5 exceeds the orthogonal cap 4: ")
 
 
+def test_size_longer_than_int_converts_exits_1(tmp_path, capsys):
+    path = program(tmp_path, "enumerate " + "9" * 5000 + "\n")
+    assert run_cli("run", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1:11: size 999")
+    assert err.rstrip().endswith("exceeds the hard cap 5")
+
+
 @pytest.mark.parametrize(
     "query, message",
     [

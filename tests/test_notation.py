@@ -176,6 +176,16 @@ def test_orthogonal_is_capped_below_the_other_sized_statements():
     )
 
 
+def test_size_longer_than_int_converts_is_a_located_refusal():
+    huge = "9" * 5000
+    expect_error(f"enumerate {huge}", f"size {huge} exceeds the hard cap 5", 1, 11)
+    expect_error(f"orthogonal left [] size 0{huge}", f"size {huge} exceeds the orthogonal cap 4", 1, 25)
+    expect_error("enumerate 0006", "size 6 exceeds the hard cap 5", 1, 11)
+    assert parse("enumerate 0005\nmono CODIAG size 00").queries == (
+        EnumerateQuery(5), MonoQuery("CODIAG", 0),
+    )
+
+
 def tokens(text):
     return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
 
