@@ -49,7 +49,7 @@ from .notation import (
     size_refusal,
 )
 from .preorder import DEFAULT_SIZE_CAP, enumerate_preorders
-from .verify import verify_paper
+from .verify import PAPER_SIZES, verify_paper
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -116,8 +116,9 @@ def _check_sizes(args: argparse.Namespace) -> None:
         raise ValidationError(
             f"--max-size must be between 0 and {DEFAULT_SIZE_CAP}, got {max_size}"
         )
-    if args.command == "verify-paper" and not 1 <= max_size <= 4:
-        raise ValidationError("verify-paper supports --max-size between 1 and 4")
+    low, high = PAPER_SIZES
+    if args.command == "verify-paper" and not low <= max_size <= high:
+        raise ValidationError(f"verify-paper supports --max-size between {low} and {high}")
     if args.command == "orthogonal":
         refusal = size_refusal("orthogonal", str(max_size), "--max-size")
         if refusal is not None:

@@ -122,30 +122,46 @@ def fibre_table(g: MonotoneMap) -> list[list[int]]:
 def find_diagonal(square: Square, fibres: list[list[int]] | None = None) -> MonotoneMap | None:
     """Lex-least monotone d: B->X with d after f = top and g after d = bottom.
 
+    The validating form of _diagonal, which runs the search: ``fibres`` is
+    the fibre_table of the right map, built here when not given, and the
+    assignment found is built as a MonotoneMap.
+    """
+    f, g, i, j = square.left, square.right, square.top, square.bottom
+    if fibres is None:
+        fibres = fibre_table(g)
+    assign = _diagonal(f.assign, i.assign, j.assign, f.target, g.source, fibres)
+    return None if assign is None else MonotoneMap(f.target, g.source, assign)
+
+
+def _diagonal(
+    f_assign: tuple[int, ...],
+    i_assign: tuple[int, ...],
+    j_assign: tuple[int, ...],
+    mid_src: FinPreorder,
+    mid_tgt: FinPreorder,
+    fibres: list[list[int]],
+) -> tuple[int, ...] | None:
+    """The lex-least diagonal's assignment of a commuting square, or None.
+
+    The square is given by the assignments of its left map f: A->B, top
+    and bottom, by B and X, and by the fibres of its right map g: X->Y.
     Values on the image of f are forced by the top triangle, so they are
     propagated first and two different forced values end the search at
     once.  A forced value lies in the fibre of g over j(b) already, since
-    the square commutes.  Every other point b ranges over that fibre, read
-    from ``fibres``, the fibre_table of the right map (built here when not
-    given); an empty fibre ends the search before it starts.  Fibres are
-    ascending, so putting every free point at the first entry of its fibre
-    gives the lex-least candidate assignment.  That probe is tested for
-    monotonicity once; when it passes it is the answer, the first
-    assignment monotone_assignments would yield.  Only when it fails and
-    some free point has two or more candidates does monotone_assignments
-    search.
+    the square commutes.  Every other point b ranges over that fibre; an
+    empty fibre ends the search before it starts.  Fibres are ascending,
+    so putting every free point at the first entry of its fibre gives the
+    lex-least candidate assignment.  That probe is tested for monotonicity
+    once; when it passes it is the answer, the first assignment
+    monotone_assignments would yield.  Only when it fails and some free
+    point has two or more candidates does monotone_assignments search.
     """
-    f, g, i, j = square.left, square.right, square.top, square.bottom
-    mid_src, mid_tgt = f.target, g.source
-    if fibres is None:
-        fibres = fibre_table(g)
     probe: list[int | None] = [None] * len(mid_src.labels)
-    for b, x in zip(f.assign, i.assign):
+    for b, x in zip(f_assign, i_assign):
         if probe[b] is None:
             probe[b] = x
         elif probe[b] != x:
             return None
-    j_assign = j.assign
     several = False
     for b, x in enumerate(probe):
         if x is None:
@@ -156,14 +172,13 @@ def find_diagonal(square: Square, fibres: list[list[int]] | None = None) -> Mono
             if len(fibre) > 1:
                 several = True
     if _is_monotone(mid_src, mid_tgt, probe):
-        return MonotoneMap(mid_src, mid_tgt, tuple(probe))
+        return tuple(probe)
     if not several:
         return None
     # The forced values agree by now, so a dict holds them exactly.
-    forced = dict(zip(f.assign, i.assign))
+    forced = dict(zip(f_assign, i_assign))
     candidates = [(forced[b],) if b in forced else fibres[y] for b, y in enumerate(j_assign)]
-    assign = next(monotone_assignments(mid_src, mid_tgt, candidates), None)
-    return None if assign is None else MonotoneMap(mid_src, mid_tgt, assign)
+    return next(monotone_assignments(mid_src, mid_tgt, candidates), None)
 
 
 def _is_monotone(source: FinPreorder, target: FinPreorder, assign: list[int]) -> bool:
@@ -190,10 +205,13 @@ def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None)
     when |A| = 1, and () when A is empty.  The commuting squares keep the
     order of a full scan, top map outer and bottom map inner, so the
     counterexample is that of that scan.  The fibres of g are built once,
-    at the first commuting square.  Cost: (|tops| + |bottoms|) * |A| to
-    index, plus one find_diagonal per commuting square visited: one
-    monotonicity probe of |B| points, and a search only for the squares
-    whose probe fails while some point has several candidates.
+    at the first commuting square.  Each commuting square is decided on
+    the assignment tuples of its maps by _diagonal, and a validating
+    Square is built only for the counterexample; no diagonal becomes a
+    MonotoneMap.  Cost: (|tops| + |bottoms|) * |A| to index, plus one
+    _diagonal per commuting square visited: one monotonicity probe of |B|
+    points, and a search only for the squares whose probe fails while
+    some point has several candidates.
     """
     cache = HomCache() if cache is None else cache
     tops = cache.hom(f.source, g.source)
@@ -206,15 +224,15 @@ def lifting_check(f: MonotoneMap, g: MonotoneMap, cache: HomCache | None = None)
             by_image.setdefault(key(j.assign), []).append(j)
     else:
         by_image[()] = bottoms
+    mid_src, mid_tgt = f.target, g.source
     fibres = None
     for i in tops:
         points = i.assign
         for j in by_image.get(itemgetter(*points)(g_assign) if points else (), ()):
             if fibres is None:
                 fibres = fibre_table(g)
-            square = Square(f, g, i, j)
-            if find_diagonal(square, fibres) is None:
-                return LiftResult(False, square)
+            if _diagonal(f_assign, points, j.assign, mid_src, mid_tgt, fibres) is None:
+                return LiftResult(False, Square(f, g, i, j))
     return _HOLDS
 
 

@@ -38,6 +38,8 @@ from .preorder import MonotoneMap, enumerate_preorders, is_isomorphism
 
 MAP_SUITE_CAP = 3
 STRUCTURE_SIZE = 2
+# The smallest and largest size bound verify_paper accepts.
+PAPER_SIZES = (1, 4)
 
 
 class SuiteReport(Value):
@@ -70,8 +72,9 @@ def verify_paper(max_size: int) -> list[SuiteReport]:
     the oracle each name is paired with here.  Every function is looked up
     in this module at call time, so wrappers installed on it see each call.
     """
-    if not 1 <= max_size <= 4:
-        raise ValueError(f"max_size must be between 1 and 4, got {max_size}")
+    low, high = PAPER_SIZES
+    if not low <= max_size <= high:
+        raise ValueError(f"max_size must be between {low} and {high}, got {max_size}")
     cache = HomCache()
     map_universe = Universe.build(min(max_size, MAP_SUITE_CAP), cache)
     spaces = tuple(enumerate_preorders(max_size))
@@ -97,10 +100,12 @@ def verify_paper(max_size: int) -> list[SuiteReport]:
     tests, maps = structure.spaces, structure.maps
 
     def mono(f):
-        return is_mono_upto(f, tests, cache) == is_mono_cancellation(f, tests) == is_injective(f)
+        lifts = is_mono_upto(f, tests, cache)
+        return lifts == is_mono_cancellation(f, tests, cache) == is_injective(f)
 
     def epi(f):
-        return is_epi_upto(f, tests, cache) == is_epi_cancellation(f, tests) == is_surjective(f)
+        lifts = is_epi_upto(f, tests, cache)
+        return lifts == is_epi_cancellation(f, tests, cache) == is_surjective(f)
 
     def self_lifts(f):
         return (f in holding) == is_isomorphism(f)

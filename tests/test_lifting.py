@@ -494,11 +494,12 @@ def test_orthogonal_class_builds_no_failing_labeled_map(monkeypatch):
     monkeypatch.setattr(MonotoneMap, "__post_init__", counting_validate)
     got = orthogonal_class("left", [SIERP_TO_PT], enumerate_preorders(3))
     # 1,476 maps between the 14 representatives, 52 tops in hom(P0, SIERP)
-    # and 14 bottoms in hom(Q0, PT) for the lifting checks, 2,076 diagonals
-    # found, and the 1,225 holding labeled maps.  Building the universe
-    # alone validates 11,345 maps.
+    # and 14 bottoms in hom(Q0, PT) for the lifting checks, and the 1,225
+    # holding labeled maps.  The lifting checks decide their squares on
+    # assignment tuples, so no diagonal is built as a map.  Building the
+    # universe alone validates 11,345 maps.
     assert len(got) == 1225
-    assert validations == 1476 + 52 + 14 + 2076 + 1225 == 4843
+    assert validations == 1476 + 52 + 14 + 1225 == 2767
 
 
 @st.composite
@@ -682,6 +683,89 @@ def test_find_diagonal_matches_brute_force_on_random_squares(square):
     want = brute_force_diagonal(square)
     for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
         assert (None if d is None else d.assign) == want
+    f, g, i, j = square.left, square.right, square.top, square.bottom
+    fibres = fibre_table(g)
+    assert lifting._diagonal(f.assign, i.assign, j.assign, f.target, g.source, fibres) == want
+
+
+def all_monotone(source, target):
+    """Every monotone assignment source -> target, in lexicographic order, by brute force."""
+    n = len(source)
+    return [
+        d
+        for d in itertools.product(range(len(target)), repeat=n)
+        if all(
+            target.leq[d[a]][d[b]] for a in range(n) for b in range(n) if source.leq[a][b]
+        )
+    ]
+
+
+def brute_force_lift(f, g):
+    """(top, bottom) assignments of the first square with no diagonal, or None.
+
+    Every (top, bottom) pair is tried, tops outer, and a commuting square
+    has a diagonal when some d in hom(B, X) has d after f = top and
+    g after d = bottom.
+    """
+    lifts = {
+        (tuple(d[b] for b in f.assign), tuple(g.assign[x] for x in d))
+        for d in all_monotone(f.target, g.source)
+    }
+    bottoms = all_monotone(f.target, g.target)
+    for i in all_monotone(f.source, g.source):
+        for j in bottoms:
+            commutes = all(g.assign[x] == j[b] for x, b in zip(i, f.assign))
+            if commutes and (i, j) not in lifts:
+                return i, j
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps(), maps())
+def test_lifting_check_matches_brute_force_lift(f, g):
+    result = lifting_check(f, g)
+    want = brute_force_lift(f, g)
+    assert result.holds == (want is None)
+    if want is not None:
+        square = result.counterexample
+        assert (square.left, square.right) == (f, g)
+        assert (square.top.assign, square.bottom.assign) == want
+
+
+@pytest.mark.parametrize(
+    "f, g, squares, holds",
+    [
+        (identity(VEE), identity(VEE), 11, True),
+        (EMPTY_TO_PT, CODIAG, 1, True),
+        (identity(TWO), identity(TWO), 4, True),
+        # The first square has a diagonal and the second is the counterexample.
+        (CODIAG, CODIAG, 2, False),
+        (PT_TO_SIERP_CLOSED, PT_TO_SIERP_CLOSED, 2, False),
+    ],
+)
+def test_lifting_check_builds_a_square_only_for_the_counterexample(
+    monkeypatch, f, g, squares, holds
+):
+    # The hom-sets are built first, so only maps the check itself builds count.
+    cache = HomCache()
+    cache.hom(f.source, g.source)
+    cache.hom(f.target, g.target)
+    built = {"squares": 0, "maps": 0, "decided": 0}
+    square_init, validate, decide = Square.__init__, MonotoneMap.__post_init__, lifting._diagonal
+
+    def counting(key, call):
+        def counted(*args):
+            built[key] += 1
+            return call(*args)
+
+        return counted
+
+    monkeypatch.setattr(Square, "__init__", counting("squares", square_init))
+    monkeypatch.setattr(MonotoneMap, "__post_init__", counting("maps", validate))
+    monkeypatch.setattr(lifting, "_diagonal", counting("decided", decide))
+    result = lifting_check(f, g, cache)
+    assert result.holds == holds
+    assert built == {"squares": 0 if holds else 1, "maps": 0, "decided": squares}
 
 
 def has_several_candidates(square):
