@@ -119,17 +119,15 @@ def fibre_table(g: MonotoneMap) -> list[list[int]]:
     return fibres
 
 
-def find_diagonal(square: Square, fibres: list[list[int]] | None = None) -> MonotoneMap | None:
+def find_diagonal(square: Square) -> MonotoneMap | None:
     """Lex-least monotone d: B->X with d after f = top and g after d = bottom.
 
-    The validating form of _diagonal, which runs the search: ``fibres`` is
-    the fibre_table of the right map, built here when not given, and the
+    The validating form of _diagonal, which runs the search on the
+    square's assignments and the fibre_table of its right map; the
     assignment found is built as a MonotoneMap.
     """
     f, g, i, j = square.left, square.right, square.top, square.bottom
-    if fibres is None:
-        fibres = fibre_table(g)
-    assign = _diagonal(f.assign, i.assign, j.assign, f.target, g.source, fibres)
+    assign = _diagonal(f.assign, i.assign, j.assign, f.target, g.source, fibre_table(g))
     return None if assign is None else MonotoneMap(f.target, g.source, assign)
 
 

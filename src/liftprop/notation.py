@@ -560,8 +560,7 @@ def print_map(f: MonotoneMap, name: str = "f") -> str:
         else:
             target_name = "T"
             lines.append(print_space(f.target, target_name))
-    assigns = [f"{a} |-> {b}" for a, b in f.assignment_by_label()]
-    lines.append(f"map {name} : {source_name} -> {target_name} = {_brace(assigns)}")
+    lines.append(f"map {name} : {source_name} -> {target_name} = {_brace(_assignment_items(f))}")
     return "\n".join(lines)
 
 

@@ -7,7 +7,6 @@ components) without going through any lifting problem.
 
 from __future__ import annotations
 
-from ._value import Value
 from .preorder import FinPreorder, MonotoneMap
 
 
@@ -17,31 +16,6 @@ def is_surjective(f: MonotoneMap) -> bool:
 
 def is_injective(f: MonotoneMap) -> bool:
     return len(set(f.assign)) == len(f.assign)
-
-
-class Pi0Partition(Value):
-    """Partition of a space into connected components.
-
-    ``component_of[x]`` is the component id of point x; ids are assigned by
-    first occurrence, so component 0 contains the lowest-indexed point.
-    """
-
-    __slots__ = ("space", "component_of", "component_count")
-    space: FinPreorder
-    component_of: tuple[int, ...]
-    component_count: int
-
-    def members(self, component: int) -> tuple[int, ...]:
-        return tuple(x for x, c in enumerate(self.component_of) if c == component)
-
-
-def pi0(space: FinPreorder) -> Pi0Partition:
-    """Connected components: the equivalence generated by comparability.
-
-    The space computes them once and keeps them; the partition is built
-    from that table.
-    """
-    return Pi0Partition(space, *space.components)
 
 
 def pi0_map(f: MonotoneMap) -> tuple[int, ...]:
@@ -67,7 +41,7 @@ def pi0_injective(f: MonotoneMap) -> bool:
 
 def is_connected(space: FinPreorder) -> bool:
     """At most one connected component; the empty space counts as connected."""
-    return pi0(space).component_count <= 1
+    return space.components[1] <= 1
 
 
 def is_T0(space: FinPreorder) -> bool:

@@ -367,14 +367,8 @@ def monotone_assignments(
     if n == 0:
         yield ()
         return
-    # The tables are read from their slots; the properties only build them.
-    earlier = source._earlier_relations
-    if earlier is None:
-        earlier = source.earlier_relations
-    masks = target._order_masks
-    if masks is None:
-        masks = target.order_masks
-    up, down = masks
+    earlier = source.earlier_relations
+    up, down = target.order_masks
     last = n - 1
     assign = [0] * n
     stack: list[tuple[Iterator[int], int]] = []
@@ -560,17 +554,6 @@ def canonical_relabeling(
 def are_isomorphic(p: FinPreorder, q: FinPreorder) -> bool:
     """True iff some relabeling carries p onto q (order both ways)."""
     return len(p) == len(q) and canonical_relabeling(p)[0] == canonical_relabeling(q)[0]
-
-
-def dedupe_up_to_iso(spaces: list[FinPreorder]) -> list[FinPreorder]:
-    """Keep the first representative of each isomorphism class.
-
-    Optional filter; the quantification universes stay labeled.
-    """
-    reps: dict[tuple[tuple[bool, ...], ...], FinPreorder] = {}
-    for space in spaces:
-        reps.setdefault(canonical_relabeling(space)[0], space)
-    return list(reps.values())
 
 
 # The constant spaces: empty, point, discrete pair, Sierpinski, indiscrete

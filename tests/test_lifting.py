@@ -151,7 +151,6 @@ def test_find_diagonal_refuses_a_forced_assignment_that_is_not_monotone():
     )
     assert brute_force_diagonal(square) is None
     assert find_diagonal(square) is None
-    assert find_diagonal(square, fibre_table(SIERP_TO_PT)) is None
 
 
 # X with its top first: u <= t, so the probe's first candidate t lies
@@ -217,9 +216,9 @@ def test_find_diagonal_takes_each_path(monkeypatch, path):
 
     monkeypatch.setattr(lifting, "monotone_assignments", counted)
     assert brute_force_diagonal(square) == expected
-    for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
-        assert (None if d is None else d.assign) == expected
-    assert len(calls) == 2 * searches
+    d = find_diagonal(square)
+    assert (None if d is None else d.assign) == expected
+    assert len(calls) == searches
 
 
 def test_probe_path_never_enters_the_search_kernel(monkeypatch):
@@ -681,8 +680,8 @@ def commuting_squares(draw):
 @given(commuting_squares())
 def test_find_diagonal_matches_brute_force_on_random_squares(square):
     want = brute_force_diagonal(square)
-    for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
-        assert (None if d is None else d.assign) == want
+    d = find_diagonal(square)
+    assert (None if d is None else d.assign) == want
     f, g, i, j = square.left, square.right, square.top, square.bottom
     fibres = fibre_table(g)
     assert lifting._diagonal(f.assign, i.assign, j.assign, f.target, g.source, fibres) == want
@@ -778,8 +777,8 @@ def has_several_candidates(square):
 @given(commuting_squares().filter(has_several_candidates))
 def test_find_diagonal_matches_brute_force_with_several_candidates(square):
     want = brute_force_diagonal(square)
-    for d in (find_diagonal(square), find_diagonal(square, fibre_table(square.right))):
-        assert (None if d is None else d.assign) == want
+    d = find_diagonal(square)
+    assert (None if d is None else d.assign) == want
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from liftprop import (
     is_hausdorff,
     is_injective,
     is_surjective,
-    pi0,
     pi0_injective,
     pi0_map,
     to_point,
@@ -40,18 +39,18 @@ def test_surjective_and_injective_read_assignments():
 
 
 def test_pi0_counts_zigzag_components():
-    assert pi0(VEE).component_count == 1
-    assert pi0(TWO).component_count == 2
-    assert pi0(EMPTY).component_count == 0
-    assert pi0(SIERP).component_count == 1
+    assert VEE.components[1] == 1
+    assert TWO.components[1] == 2
+    assert EMPTY.components[1] == 0
+    assert SIERP.components[1] == 1
 
 
 def test_pi0_component_ids_follow_first_occurrence():
     space = build_space(["a", "b", "c"], [("a", "c")])
-    part = pi0(space)
-    assert part.component_of == (0, 1, 0)
-    assert part.members(0) == (0, 2)
-    assert part.members(1) == (1,)
+    component_of, count = space.components
+    assert component_of == (0, 1, 0) and count == 2
+    assert [x for x, c in enumerate(component_of) if c == 0] == [0, 2]
+    assert [x for x, c in enumerate(component_of) if c == 1] == [1]
 
 
 def symmetric_reach(space):
@@ -66,18 +65,17 @@ def symmetric_reach(space):
 
 def test_pi0_matches_symmetrized_reachability():
     for space in enumerate_preorders(3):
-        part = pi0(space)
+        component_of = space.components[0]
         reach = symmetric_reach(space)
         for x in range(len(space)):
             for y in range(len(space)):
-                assert (part.component_of[x] == part.component_of[y]) == reach[x][y]
+                assert (component_of[x] == component_of[y]) == reach[x][y]
 
 
 def test_pi0_reads_components_the_space_computed_once():
     space = build_space(["a", "b", "c"], [("a", "b")])
-    first, again = pi0(space), pi0(space)
-    assert first == again and first.component_of is again.component_of
-    # The space keeps plain tuples, never the partition that refers back to it.
+    first = space.components
+    assert first is space.components
     assert space._components == ((0, 0, 1), 2)
 
 
@@ -100,11 +98,10 @@ def test_pi0_map_is_well_defined_pointwise_everywhere():
     # composable pair there: both sides of the composite identity reduce
     # to the same pointwise values once each single map is well defined.
     universe = Universe.build(3)
-    parts = {space: pi0(space) for space in universe.spaces}
     for f in universe.maps:
         induced = pi0_map(f)
-        src = parts[f.source].component_of
-        tgt = parts[f.target].component_of
+        src = f.source.components[0]
+        tgt = f.target.components[0]
         for x, v in enumerate(f.assign):
             assert induced[src[x]] == tgt[v]
 
@@ -152,7 +149,8 @@ def test_empty_space_counts_as_connected():
 
 def test_connected_matches_component_count():
     for space in enumerate_preorders(4):
-        assert is_connected(space) == (pi0(space).component_count <= 1)
+        assert is_connected(space) == (space.components[1] <= 1)
+        assert is_connected(space) == (len({tuple(row) for row in symmetric_reach(space)}) <= 1)
 
 
 def test_separation_axiom_examples():
