@@ -23,8 +23,6 @@ from .lifting import (
     orthogonal_class,
 )
 from .notation import (
-    BUILTIN_MAPS,
-    BUILTIN_SPACES,
     CheckQuery,
     CountsOutcome,
     EnumerateQuery,
@@ -39,7 +37,6 @@ from .notation import (
     Outcome,
     ParseError,
     Query,
-    SIZE_CAPS,
     ValidationError,
     elaborate,
     encode_result,
@@ -48,8 +45,8 @@ from .notation import (
     print_result,
     size_refusal,
 )
-from .preorder import DEFAULT_SIZE_CAP, enumerate_preorders
-from .verify import PAPER_SIZES, verify_paper
+from .preorder import enumerate_preorders
+from .verify import verify_paper
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -109,25 +106,6 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _check_sizes(args: argparse.Namespace) -> None:
-    """Refuse size arguments outside what the commands support."""
-    max_size = getattr(args, "max_size", 3)
-    if not 0 <= max_size <= DEFAULT_SIZE_CAP:
-        raise ValidationError(
-            f"--max-size must be between 0 and {DEFAULT_SIZE_CAP}, got {max_size}"
-        )
-    low, high = PAPER_SIZES
-    if args.command == "verify-paper" and not low <= max_size <= high:
-        raise ValidationError(f"verify-paper supports --max-size between {low} and {high}")
-    if args.command == "orthogonal":
-        refusal = size_refusal("orthogonal", str(max_size), "--max-size")
-        if refusal is not None:
-            raise ValidationError(refusal)
-    cap = SIZE_CAPS["enumerate"][0]
-    if args.command == "enumerate" and not 0 <= args.size <= cap:
-        raise ValidationError(f"size must be between 0 and {cap}, got {args.size}")
-
-
 def _named(env: Env, kind: str, name: str):
     """The space or map called `name`, refusing a name not in scope."""
     table = env.spaces if kind == "space" else env.maps
@@ -139,12 +117,17 @@ def _named(env: Env, kind: str, name: str):
 def execute_query(query: Query, env: Env) -> Outcome:
     """Evaluate one query against named spaces and maps.
 
-    Every name is resolved here, so a query naming a space, map or
-    property not in scope is refused with a ValidationError.  Every query
+    Every name and size is checked here, before any enumeration, so a
+    query naming a space, map or property not in scope, or with a size
+    outside SIZE_CAPS, is refused with a ValidationError.  Every query
     gets a fresh hom-set cache, so concurrent queries never share state.
     """
     cache = HomCache()
     text = print_query(query)
+    if hasattr(query, "size"):  # its text starts with its SIZE_CAPS keyword
+        refusal = size_refusal(text.partition(" ")[0], query.size)
+        if refusal is not None:
+            raise ValidationError(refusal)
     if isinstance(query, LiftQuery):
         left, right = _named(env, "map", query.left), _named(env, "map", query.right)
         return LiftOutcome(text, lifting_check(left, right, cache))
@@ -199,13 +182,10 @@ def _read_program(path: str) -> str:
         raise ValidationError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
 
 
-def _load_env(input_path: str | None) -> Env:
-    if input_path is None:
-        return Env(dict(BUILTIN_SPACES), dict(BUILTIN_MAPS))
-    return elaborate(parse(_read_program(input_path)))
-
-
 def _run_verify(max_size: int, machine: bool, out) -> int:
+    refusal = size_refusal("verify-paper", max_size)
+    if refusal is not None:
+        raise ValidationError(refusal)
     reports = verify_paper(max_size)
     if machine:
         for r in reports:
@@ -241,13 +221,13 @@ _COMMAND_QUERIES = {
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    _check_sizes(args)
     out = sys.stdout
     if args.command == "run":
         return run_file(args.path, args.machine, out)
     if args.command == "verify-paper":
         return _run_verify(args.max_size, args.machine, out)
-    env = _load_env(getattr(args, "input", None))
+    path = getattr(args, "input", None)
+    env = elaborate(parse("" if path is None else _read_program(path)))
     _emit(execute_query(_COMMAND_QUERIES[args.command](args), env), args.machine, out)
     return 0
 

@@ -35,6 +35,7 @@ from .preorder import (
     NotMonotoneError,
     build_space,
 )
+from .verify import PAPER_SIZES
 
 BUILTIN_SPACES = {
     "EMPTY": EMPTY,
@@ -52,30 +53,35 @@ BUILTIN_MAPS = {
     "PT_TO_SIERP_CLOSED": PT_TO_SIERP_CLOSED,
 }
 
-# The largest size argument of each sized statement, and why it is lower
-# than DEFAULT_SIZE_CAP, the largest preorder enumerated, where it is.
-SIZE_CAPS: dict[str, tuple[int, str | None]] = {
-    "orthogonal": (4, "an orthogonal class lists labeled maps, and there are "
-                      "10,906,368,176 of them at size 5"),
-    "mono": (DEFAULT_SIZE_CAP, None),
-    "epi": (DEFAULT_SIZE_CAP, None),
-    "enumerate": (DEFAULT_SIZE_CAP, None),
+# The sizes each sized keyword accepts, from low to high, and why the high
+# bound is below DEFAULT_SIZE_CAP, the largest preorder enumerated, where it
+# is and a reason is known.
+SIZE_CAPS: dict[str, tuple[int, int, str | None]] = {
+    "orthogonal": (0, 4, "an orthogonal class lists labeled maps, and there are "
+                         "10,906,368,176 of them at size 5"),
+    "mono": (0, DEFAULT_SIZE_CAP, None),
+    "epi": (0, DEFAULT_SIZE_CAP, None),
+    "enumerate": (0, DEFAULT_SIZE_CAP, None),
+    "verify-paper": (*PAPER_SIZES, None),
 }
 
 
-def size_refusal(keyword: str, size: str, what: str) -> str | None:
-    """Why `keyword` refuses the size argument `what`, or None when it takes it.
+def size_refusal(keyword: str, size: int | str) -> str | None:
+    """Why `keyword` refuses `size`, or None when it takes it.
 
-    `size` is a natural number's decimal digits without leading zeros.  It
-    is compared by length first, so a number longer than int() converts
-    (4,300 digits) is refused like any other.
+    `size` is an int or a natural number's decimal digits without leading
+    zeros.  Digits are compared by length first, so a number longer than
+    int() converts (4,300 digits) is refused like any other.
     """
-    cap, reason = SIZE_CAPS[keyword]
-    if len(size) <= len(str(cap)) and int(size) <= cap:
+    low, high, reason = SIZE_CAPS[keyword]
+    value = high + 1 if isinstance(size, str) and len(size) > len(str(high)) else int(size)
+    if low <= value <= high:
         return None
-    if reason is None:
-        return f"{what} {size} exceeds the hard cap {cap}"
-    return f"{what} {size} exceeds the {keyword} cap {cap}: {reason}"
+    if value < low:
+        return f"size {size} is below the {keyword} minimum {low}"
+    if high == DEFAULT_SIZE_CAP:
+        return f"size {size} exceeds the hard cap {high}"
+    return f"size {size} exceeds the {keyword} cap {high}" + (f": {reason}" if reason else "")
 
 
 class ParseError(ValueError):
@@ -307,7 +313,7 @@ class _Parser:
         if not tok.text.isdigit():
             raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
         digits = tok.text.lstrip("0") or "0"
-        refusal = size_refusal(keyword, digits, "size")
+        refusal = size_refusal(keyword, digits)
         if refusal is not None:
             raise ParseError(refusal, tok.line, tok.col)
         return int(digits)

@@ -304,12 +304,7 @@ def build_space(labels: list[str], generating_pairs: list[tuple[str, str]]) -> F
     Element order is declaration order.  Raises on duplicate labels and on
     pairs mentioning undeclared labels.
     """
-    labels = list(labels)
-    seen: set[str] = set()
-    for a in labels:
-        if a in seen:
-            raise ValueError(f"duplicate label {a!r}")
-        seen.add(a)
+    labels = tuple(labels)
     idx = {a: i for i, a in enumerate(labels)}
     pairs = []
     for a, b in generating_pairs:
@@ -318,7 +313,7 @@ def build_space(labels: list[str], generating_pairs: list[tuple[str, str]]) -> F
         if b not in idx:
             raise ValueError(f"unknown label {b!r} in pair ({a!r}, {b!r})")
         pairs.append((idx[a], idx[b]))
-    return FinPreorder(tuple(labels), transitive_reflexive_closure(len(labels), pairs))
+    return FinPreorder(labels, transitive_reflexive_closure(len(labels), pairs))
 
 
 def identity(space: FinPreorder) -> MonotoneMap:

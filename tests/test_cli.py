@@ -12,6 +12,7 @@ from liftprop import ValidationError, elaborate, parse
 from liftprop.cli import execute_query, main
 from liftprop.notation import (
     CheckQuery,
+    EnumerateQuery,
     EpiQuery,
     HomQuery,
     LiftQuery,
@@ -96,7 +97,7 @@ def test_enumerate(capsys):
 
 def test_enumerate_rejects_sizes_beyond_cap(capsys):
     assert run_cli("enumerate", "6") == 1
-    assert "between 0 and 5" in capsys.readouterr().err
+    assert "size 6 exceeds the hard cap 5" in capsys.readouterr().err
 
 
 def test_hom_listing(capsys):
@@ -122,7 +123,7 @@ def test_orthogonal_rejects_bad_side(capsys):
 
 def test_max_size_bounds(capsys):
     assert run_cli("orthogonal", "left", "--max-size", "9") == 1
-    assert "--max-size" in capsys.readouterr().err
+    assert "size 9 exceeds the orthogonal cap 4" in capsys.readouterr().err
 
 
 def refuse_enumeration(monkeypatch):
@@ -136,7 +137,7 @@ def test_orthogonal_size_5_is_refused_before_any_enumeration(monkeypatch, tmp_pa
     refuse_enumeration(monkeypatch)
     assert run_cli("orthogonal", "left", "--max-size", "5") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --max-size 5 exceeds the orthogonal cap 4: ")
+    assert err.startswith("error: size 5 exceeds the orthogonal cap 4: ")
     assert "10,906,368,176" in err
     path = program(tmp_path, "space S = { a }\northogonal right [EMPTY_TO_PT] size 5\n")
     assert run_cli("run", path) == 1
@@ -166,6 +167,12 @@ def test_size_longer_than_int_converts_exits_1(tmp_path, capsys):
         (OrthogonalQuery("left", ("CODIAG", "NOPE"), 2), "unknown map 'NOPE'"),
         (MonoQuery("NOPE", 2), "unknown map 'NOPE'"),
         (EpiQuery("NOPE", 2), "unknown map 'NOPE'"),
+        (OrthogonalQuery("right", ("SIERP_TO_PT",), 5), "size 5 exceeds the orthogonal cap 4: "),
+        (OrthogonalQuery("left", (), -1), "size -1 is below the orthogonal minimum 0"),
+        (MonoQuery("CODIAG", 6), "size 6 exceeds the hard cap 5"),
+        (EpiQuery("CODIAG", 6), "size 6 exceeds the hard cap 5"),
+        (EnumerateQuery(6), "size 6 exceeds the hard cap 5"),
+        (EnumerateQuery(-1), "size -1 is below the enumerate minimum 0"),
     ],
     ids=repr,
 )
@@ -310,7 +317,9 @@ def test_verify_paper_max_size_4_matches_golden_bytes(capsys, machine):
 
 def test_verify_paper_size_bounds(capsys):
     assert run_cli("verify-paper", "--max-size", "0") == 1
-    assert "between 1 and 4" in capsys.readouterr().err
+    assert "size 0 is below the verify-paper minimum 1" in capsys.readouterr().err
+    assert run_cli("verify-paper", "--max-size", "5") == 1
+    assert capsys.readouterr().err == "error: size 5 exceeds the verify-paper cap 4\n"
 
 
 def test_usage_error_exits_one(capsys):

@@ -378,7 +378,7 @@ def test_enumeration_respects_hard_cap():
         enumerate_preorders(-1)
 
 
-def test_dedupe_up_to_iso_counts():
+def test_canonical_forms_count_isomorphism_classes():
     # Isomorphism classes of preorders on 0..4 points: one canonical form each.
     forms = {canonical_relabeling(space)[0] for space in enumerate_preorders(4)}
     by_size = [0] * 5
