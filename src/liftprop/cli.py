@@ -37,6 +37,7 @@ from .notation import (
     Outcome,
     ParseError,
     Query,
+    SIZE_CAPS,
     ValidationError,
     elaborate,
     encode_result,
@@ -64,14 +65,15 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_flags(p, with_input=False, with_max_size=False):
+    def add_flags(p, with_input=False, max_size_of=None):
         p.add_argument("--machine", action="store_true", help="emit one JSON record per result")
         if with_input:
             p.add_argument("--input", metavar="PATH", default=None,
                            help="load space/map declarations from a program file")
-        if with_max_size:
+        if max_size_of:
+            low, high, _ = SIZE_CAPS[max_size_of]
             p.add_argument("--max-size", dest="max_size", type=int, default=3, metavar="N",
-                           help="space size bound (default 3)")
+                           help=f"space size bound, {low} to {high} (default 3)")
 
     p = sub.add_parser("run", help="execute all queries in a program file")
     p.add_argument("path", help="program file")
@@ -90,10 +92,11 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("orthogonal", help="orthogonal class of test maps over a universe")
     p.add_argument("side", choices=("left", "right"))
     p.add_argument("tests", nargs="*", help="test map names")
-    add_flags(p, with_input=True, with_max_size=True)
+    add_flags(p, with_input=True, max_size_of="orthogonal")
 
     p = sub.add_parser("enumerate", help="count labeled preorders per carrier size")
-    p.add_argument("size", type=int, help="largest carrier size")
+    low, high, _ = SIZE_CAPS["enumerate"]
+    p.add_argument("size", type=int, help=f"largest carrier size, {low} to {high}")
     add_flags(p)
 
     p = sub.add_parser("hom", help="list all monotone maps between two spaces")
@@ -102,7 +105,7 @@ def _build_parser() -> _ArgumentParser:
     add_flags(p, with_input=True)
 
     p = sub.add_parser("verify-paper", help="run the oracle-agreement suites")
-    add_flags(p, with_max_size=True)
+    add_flags(p, max_size_of="verify-paper")
     return parser
 
 

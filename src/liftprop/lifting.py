@@ -28,7 +28,6 @@ from .preorder import (
     MonotoneMap,
     canonical_relabeling,
     codiagonal,
-    compose,
     diagonal,
     enumerate_preorders,
     hom_enumerate,
@@ -343,13 +342,11 @@ def is_mono_cancellation(
     have endpoints that are not test spaces.
     """
     cache = HomCache() if cache is None else cache
-    for z in spaces:
-        candidates = cache.hom(z, f.source)
-        for a, g1 in enumerate(candidates):
-            for g2 in candidates[a + 1 :]:
-                if compose(g1, f) == compose(g2, f):
-                    return False
-    return True
+    f_assign = f.assign
+    return all(
+        _distinct(tuple([f_assign[v] for v in g.assign]) for g in cache.hom(z, f.source))
+        for z in spaces
+    )
 
 
 def is_epi_cancellation(
@@ -357,12 +354,20 @@ def is_epi_cancellation(
 ) -> bool:
     """Direct epi definition: f is right-cancellable against the test spaces."""
     cache = HomCache() if cache is None else cache
-    for z in spaces:
-        candidates = cache.hom(f.target, z)
-        for a, h1 in enumerate(candidates):
-            for h2 in candidates[a + 1 :]:
-                if compose(f, h1) == compose(f, h2):
-                    return False
+    f_assign = f.assign
+    return all(
+        _distinct(tuple([h.assign[v] for v in f_assign]) for h in cache.hom(f.target, z))
+        for z in spaces
+    )
+
+
+def _distinct(assignments: Iterable[tuple[int, ...]]) -> bool:
+    """Whether no assignment repeats, stopping at the first repeat."""
+    seen: set[tuple[int, ...]] = set()
+    for assign in assignments:
+        if assign in seen:
+            return False
+        seen.add(assign)
     return True
 
 

@@ -42,8 +42,8 @@ class FinPreorder(Value):
     """
 
     # After the two fields come per-space tables for map validation and the
-    # search kernel, built on first use by strict_above, earlier_relations
-    # and order_masks and kept here; the connected components, built on
+    # search kernel, built on first use by strict_above, order_links and
+    # order_masks and kept here; the connected components, built on
     # first use by components; the row masks, which the transitivity
     # check builds and order_masks reuses as its up half; and the hash,
     # hash((labels, leq)), kept after its first use: tuples do not cache
@@ -54,7 +54,7 @@ class FinPreorder(Value):
         "labels",
         "leq",
         "_strict_above",
-        "_earlier_relations",
+        "_order_links",
         "_order_masks",
         "_components",
         "_row_masks",
@@ -67,7 +67,7 @@ class FinPreorder(Value):
         _set_labels(self, labels)
         _set_leq(self, leq)
         _set_strict_above(self, None)
-        _set_earlier_relations(self, None)
+        _set_order_links(self, None)
         _set_order_masks(self, None)
         _set_components(self, None)
         _set_hash(self, None)
@@ -122,19 +122,24 @@ class FinPreorder(Value):
         return table
 
     @property
-    def earlier_relations(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """For each x, the earlier indices p < x with p <= x, then those with x <= p."""
-        table = self._earlier_relations
+    def order_links(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each x, (p, 0) for each earlier p <= x, (p, 1) for each with x <= p, in p order.
+
+        0 and 1 index the up and down halves of order_masks, for the search kernel.
+        """
+        table = self._order_links
         if table is None:
             leq = self.leq
             table = tuple(
-                (
-                    tuple(p for p in range(x) if leq[p][x]),
-                    tuple(p for p in range(x) if leq[x][p]),
+                tuple(
+                    (p, t)
+                    for p in range(x)
+                    for t, related in ((0, leq[p][x]), (1, leq[x][p]))
+                    if related
                 )
                 for x in range(len(leq))
             )
-            _set_earlier_relations(self, table)
+            _set_order_links(self, table)
         return table
 
     @property
@@ -218,7 +223,7 @@ class FinPreorder(Value):
     _set_labels,
     _set_leq,
     _set_strict_above,
-    _set_earlier_relations,
+    _set_order_links,
     _set_order_masks,
     _set_components,
     _set_row_masks,
@@ -350,31 +355,40 @@ def monotone_assignments(
     """Yield every monotone assignment with ``assign[x]`` in ``candidates[x]``.
 
     Assignments come out as tuples in lexicographic order, taking each
-    ``candidates[x]`` in its given order.  Source indices are placed in
-    order.  On reaching index x the search intersects the target's up and
-    down row masks of the values at the earlier comparable indices, so each
-    candidate for x costs one bit test.  The search keeps an explicit stack
-    of candidate iterators, one per placed index, instead of recursing, so
-    its depth is not bounded by the interpreter's recursion limit; the last
-    index is placed in one loop over its candidates.
+    ``candidates[x]`` in its given order: _search over the source's
+    order_links and the target's order_masks.
     """
-    n = len(source.labels)
+    return _search(source.order_links, target.order_masks, candidates)
+
+
+def _search(
+    links: Sequence[Sequence[tuple[int, int]]],
+    tables: Sequence[Sequence[int]],
+    candidates: Sequence[Sequence[int]],
+) -> Iterator[tuple[int, ...]]:
+    """The one backtracking search, behind monotone_assignments and enumerate_preorders.
+
+    Yields, in lexicographic order, every assignment with ``assign[x]`` in
+    ``candidates[x]`` (taken in its given order) that each link of x admits.
+    A link (p, t) ties x to an earlier point p: x may take v when bit v of
+    ``tables[t][assign[p]]`` is set.  Points are placed in order, and on
+    reaching x the masks of its links are intersected once, so a candidate
+    costs one bit test.  An explicit stack of candidate iterators replaces
+    recursion, so the recursion limit does not bound the number of points;
+    the last point is placed in one loop over its candidates.
+    """
+    n = len(links)
     if n == 0:
         yield ()
         return
-    earlier = source.earlier_relations
-    up, down = target.order_masks
     last = n - 1
     assign = [0] * n
     stack: list[tuple[Iterator[int], int]] = []
     x = 0
     while True:
-        below, above = earlier[x]
         allowed = -1
-        for p in below:
-            allowed &= up[assign[p]]
-        for p in above:
-            allowed &= down[assign[p]]
+        for p, t in links[x]:
+            allowed &= tables[t][assign[p]]
         if x < last:
             stack.append((iter(candidates[x]), allowed))
         else:
@@ -470,6 +484,11 @@ def enumerate_preorders(n: int) -> list[FinPreorder]:
 
     Labels are canonical (e0, e1, ...).  Within one size, matrices come out
     in row-major lexicographic order.  Raises when n exceeds DEFAULT_SIZE_CAP.
+    Each size k is one _search over row masks: point x takes the rows with
+    bit x set, in lexicographic order, and each pair p < x has a table
+    whose entry at row p is the mask of the rows x may take beside it.  A
+    row x may not when p <= x and row x is not inside row p, or x <= p and
+    row p is not inside row x; that every pair agrees is transitivity.
     """
     if n < 0:
         raise ValueError("size bound must be nonnegative")
@@ -478,49 +497,20 @@ def enumerate_preorders(n: int) -> list[FinPreorder]:
     out: list[FinPreorder] = []
     for k in range(n + 1):
         labels = tuple(f"e{i}" for i in range(k))
-        for rows in _transitive_row_masks(k):
-            leq = tuple(tuple(bool(rows[x] >> y & 1) for y in range(k)) for x in range(k))
+        rows = [row_mask(bits) for bits in itertools.product((False, True), repeat=k)]
+        pairs = [(p, x) for x in range(k) for p in range(x)]
+        links = [[(p, t) for t, (p, y) in enumerate(pairs) if y == x] for x in range(k)]
+        tables = [
+            [
+                sum(1 << b for b in rows if not (a >> x & 1 and b & ~a or b >> p & 1 and a & ~b))
+                for a in range(1 << k)
+            ]
+            for p, x in pairs
+        ]
+        for matrix in _search(links, tables, [[r for r in rows if r >> x & 1] for x in range(k)]):
+            leq = tuple(tuple(bool(row >> y & 1) for y in range(k)) for row in matrix)
             out.append(FinPreorder(labels, leq))
     return out
-
-
-def _transitive_row_masks(k: int):
-    """Yield reflexive-transitive relations on k elements as row bitmasks.
-
-    Rows are chosen one at a time; a partial choice is abandoned as soon as
-    it violates transitivity among the rows fixed so far.  Candidate rows
-    are ordered so complete matrices appear in row-major lexicographic order.
-    """
-    if k == 0:
-        yield ()
-        return
-    candidates_per_row = []
-    for x in range(k):
-        cands = []
-        for bits in itertools.product((0, 1), repeat=k):
-            if bits[x]:
-                cands.append(sum(b << y for y, b in enumerate(bits)))
-        candidates_per_row.append(cands)
-    rows = [0] * k
-
-    def place(x: int):
-        if x == k:
-            yield tuple(rows)
-            return
-        for mask in candidates_per_row[x]:
-            ok = True
-            for p in range(x):
-                if rows[p] >> x & 1 and mask & ~rows[p]:
-                    ok = False
-                    break
-                if mask >> p & 1 and rows[p] & ~mask:
-                    ok = False
-                    break
-            if ok:
-                rows[x] = mask
-                yield from place(x + 1)
-
-    yield from place(0)
 
 
 def canonical_relabeling(

@@ -34,12 +34,13 @@ from .oracles import (
     is_surjective,
     pi0_injective,
 )
-from .preorder import MonotoneMap, enumerate_preorders, is_isomorphism
+from .preorder import DEFAULT_SIZE_CAP, MonotoneMap, enumerate_preorders, is_isomorphism
 
 MAP_SUITE_CAP = 3
 STRUCTURE_SIZE = 2
-# The smallest and largest size bound verify_paper accepts.
-PAPER_SIZES = (1, 4)
+# The smallest and largest size bound verify_paper accepts: the space
+# suites run up to the largest preorder enumerated.
+PAPER_SIZES = (1, DEFAULT_SIZE_CAP)
 
 
 class SuiteReport(Value):

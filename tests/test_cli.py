@@ -318,8 +318,8 @@ def test_verify_paper_max_size_4_matches_golden_bytes(capsys, machine):
 def test_verify_paper_size_bounds(capsys):
     assert run_cli("verify-paper", "--max-size", "0") == 1
     assert "size 0 is below the verify-paper minimum 1" in capsys.readouterr().err
-    assert run_cli("verify-paper", "--max-size", "5") == 1
-    assert capsys.readouterr().err == "error: size 5 exceeds the verify-paper cap 4\n"
+    assert run_cli("verify-paper", "--max-size", "6") == 1
+    assert capsys.readouterr().err == "error: size 6 exceeds the hard cap 5\n"
 
 
 def test_usage_error_exits_one(capsys):

@@ -359,6 +359,26 @@ def test_enumeration_counts_match_brute_force():
         assert len(by_size[k]) == naive_preorder_count(k)
 
 
+def test_enumeration_order_is_row_major_over_all_preorders():
+    """Size k lists every reflexive, transitive k x k matrix, in row-major lexicographic order."""
+    by_size = {}
+    for space in enumerate_preorders(5):
+        by_size.setdefault(len(space), []).append(space.leq)
+    for k in range(5):
+        expected = []
+        for cells in itertools.product((False, True), repeat=k * k):
+            rel = tuple(cells[x * k : x * k + k] for x in range(k))
+            if all(rel[x][x] for x in range(k)) and all(
+                not (rel[x][y] and rel[y][z]) or rel[x][z]
+                for x in range(k)
+                for y in range(k)
+                for z in range(k)
+            ):
+                expected.append(rel)
+        assert by_size[k] == expected
+    assert len(by_size[5]) == 6942
+
+
 def test_enumeration_is_deterministic_and_duplicate_free():
     first = enumerate_preorders(3)
     second = enumerate_preorders(3)
@@ -568,7 +588,7 @@ def test_tables_are_not_part_of_equality_or_repr():
     fresh = build_space(["b", "s"], [("b", "s")])
     unhashed = build_space(["b", "s"], [("b", "s")])
     assert fresh.strict_above == ((0, (1,)),)
-    assert fresh.earlier_relations == (((), ()), ((0,), ()))
+    assert fresh.order_links == ((), ((0, 0),))
     assert fresh.order_masks == ((0b11, 0b10), (0b01, 0b11))
     assert unhashed._components is None
     assert fresh.components == ((0, 0), 1) and fresh.components is fresh._components

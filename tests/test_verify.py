@@ -58,7 +58,7 @@ def test_size_bound_is_enforced():
     with pytest.raises(ValueError):
         verify_paper(0)
     with pytest.raises(ValueError):
-        verify_paper(5)
+        verify_paper(6)
 
 
 def test_lifting_table_is_the_single_source_of_properties():
