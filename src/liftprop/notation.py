@@ -621,14 +621,22 @@ def _assignment_items(f: MonotoneMap) -> list[str]:
     return [f"{a} |-> {b}" for a, b in f.assignment_by_label()]
 
 
-def _map_braces(maps: tuple[MonotoneMap, ...]) -> Iterator[tuple[str, str, MonotoneMap]]:
-    """Yield (source text, target text, map) for each map, in order.
+def _map_rows(
+    maps: tuple[MonotoneMap, ...], cell: Callable[[str, str], object]
+) -> Iterator[tuple[str, str, list]]:
+    """Yield (source text, target text, items) for each map, in order.
 
-    A map list often repeats a few spaces many times, so each space's
-    brace text is computed once per walk, keyed by object identity; the
-    list keeps every space alive, so no identity is reused meanwhile.
+    A map list repeats a few (source, target) pairs many times, so the
+    walk formats each pair once.  Each space's brace text is computed once,
+    keyed by object identity; the list keeps every space alive, so no
+    identity is reused meanwhile.  Each (source labels, target labels) pair
+    gets one table whose cell ``[x][v]`` is ``cell(labels[x], labels[v])``,
+    shared by spaces whose labels agree, and a map's items are its row of
+    cells picked by ``f.assign``.  A run of maps with the same endpoints
+    reuses the texts and table of the first.
     """
     texts: dict[int, str] = {}
+    tables: dict[tuple[tuple[str, ...], tuple[str, ...]], list[list]] = {}
 
     def brace(space: FinPreorder) -> str:
         text = texts.get(id(space))
@@ -636,8 +644,16 @@ def _map_braces(maps: tuple[MonotoneMap, ...]) -> Iterator[tuple[str, str, Monot
             text = texts[id(space)] = _brace(_space_items(space))
         return text
 
+    source = target = None
     for f in maps:
-        yield brace(f.source), brace(f.target), f
+        if f.source is not source or f.target is not target:
+            source, target = f.source, f.target
+            source_text, target_text = brace(source), brace(target)
+            key = (source.labels, target.labels)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = [[cell(a, b) for b in key[1]] for a in key[0]]
+        yield source_text, target_text, list(map(list.__getitem__, table, f.assign))
 
 
 def print_result(outcome: Outcome) -> str:
@@ -651,8 +667,8 @@ def print_result(outcome: Outcome) -> str:
             lines.append(f"  bottom: {_brace(_assignment_items(square.bottom))}")
     elif isinstance(outcome, MapListOutcome):
         lines.append(f"  count {len(outcome.maps)}")
-        for source, target, f in _map_braces(outcome.maps):
-            lines.append(f"  {source} -> {target} = {_brace(_assignment_items(f))}")
+        for source, target, items in _map_rows(outcome.maps, "{} |-> {}".format):
+            lines.append(f"  {source} -> {target} = {_brace(items)}")
     elif isinstance(outcome, CountsOutcome):
         for size, count in enumerate(outcome.counts):
             lines.append(f"  size {size}: {count}")
@@ -667,7 +683,10 @@ def encode_result(outcome: Outcome) -> dict:
 
     Lift-shaped results carry {query, holds, counterexample}; the
     counterexample, when present, lists the top and bottom assignments
-    by label.
+    by label.  A map listing's ``assign`` lists hold ``[a, b]`` pair lists
+    that are shared within one record: every map sending label ``a`` to
+    ``b`` between spaces with the same labels holds the same list object.
+    Treat the record as read-only; ``json.dumps`` writes each occurrence.
     """
     if isinstance(outcome, LiftOutcome):
         square = outcome.result.counterexample
@@ -689,12 +708,8 @@ def encode_result(outcome: Outcome) -> dict:
             "query": outcome.query,
             "count": len(outcome.maps),
             "maps": [
-                {
-                    "source": source,
-                    "target": target,
-                    "assign": [[a, b] for a, b in f.assignment_by_label()],
-                }
-                for source, target, f in _map_braces(outcome.maps)
+                {"source": source, "target": target, "assign": items}
+                for source, target, items in _map_rows(outcome.maps, lambda a, b: [a, b])
             ],
         }
     if isinstance(outcome, CountsOutcome):

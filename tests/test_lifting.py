@@ -638,8 +638,8 @@ def assert_same_as_full_scan(f, g):
 
 
 @st.composite
-def spaces(draw, max_size=4):
-    n = draw(st.integers(0, max_size))
+def spaces(draw, max_size=4, min_size=0):
+    n = draw(st.integers(min_size, max_size))
     if not n:
         return EMPTY
     labels = [f"e{k}" for k in range(n)]
@@ -773,9 +773,40 @@ def has_several_candidates(square):
     return any(len(fibres[y]) > 1 for b, y in enumerate(square.bottom.assign) if b not in image)
 
 
+@st.composite
+def squares_with_several_candidates(draw):
+    """A commuting square with a point of B off the image of f over a fibre of two or more.
+
+    f is drawn from the maps that are not surjective and g from those that
+    are not injective.  A constant top into a fibre of two or more points,
+    with the constant bottom under it, always commutes, so the (top, bottom)
+    list drawn from is never empty and nothing is filtered.  Every such
+    square on f and g is in the list.
+    """
+    b = draw(spaces(min_size=1))
+    a = draw(spaces(max_size=4 if len(b) > 1 else 0))
+    f = draw(st.sampled_from([h for h in hom_enumerate(a, b) if not is_surjective(h)]))
+    x, y = draw(spaces(min_size=2)), draw(spaces(min_size=1))
+    g = draw(st.sampled_from([h for h in hom_enumerate(x, y) if not is_injective(h)]))
+    fibres, image = fibre_table(g), set(f.assign)
+    # Bottoms with a free point over a fibre of two or more, by their values on f's image.
+    bottoms = {}
+    for j in hom_enumerate(b, y):
+        if any(len(fibres[v]) > 1 for p, v in enumerate(j.assign) if p not in image):
+            bottoms.setdefault(tuple(j.assign[p] for p in f.assign), []).append(j)
+    pairs = [
+        (i, j)
+        for i in hom_enumerate(a, x)
+        for j in bottoms.get(tuple(g.assign[p] for p in i.assign), ())
+    ]
+    i, j = draw(st.sampled_from(pairs))
+    return Square(f, g, i, j)
+
+
 @settings(max_examples=200, deadline=None)
-@given(commuting_squares().filter(has_several_candidates))
+@given(squares_with_several_candidates())
 def test_find_diagonal_matches_brute_force_with_several_candidates(square):
+    assert has_several_candidates(square)
     want = brute_force_diagonal(square)
     d = find_diagonal(square)
     assert (None if d is None else d.assign) == want

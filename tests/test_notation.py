@@ -1,5 +1,6 @@
 """Parser, canonical printer, and result encoding."""
 
+import itertools
 import json
 import string
 
@@ -22,6 +23,7 @@ from liftprop import (
     elaborate,
     encode_result,
     enumerate_preorders,
+    hom_enumerate,
     lifting_check,
     parse,
     print_map,
@@ -333,8 +335,6 @@ def _chain_pair():
 
 
 def test_map_round_trip_everywhere_small():
-    from liftprop import hom_enumerate
-
     for p in enumerate_preorders(2):
         for q in enumerate_preorders(2):
             for f in hom_enumerate(p, q):
@@ -457,35 +457,131 @@ def test_space_items_match_pairwise_definition_on_all_small_spaces():
         assert _space_items(space) == pairwise_space_items(space)
 
 
-def test_map_list_output_matches_per_map_printing():
-    sierp_copy = build_space(["b", "s"], [("b", "s")])
-    assert sierp_copy == SIERP and sierp_copy is not SIERP
-    sierp_relabeled = build_space(["u", "v"], [("u", "v")])
-    chain_down = build_space(["b", "s"], [("s", "b")])
-    maps = (
-        MonotoneMap(SIERP, sierp_copy, (0, 1)),
-        MonotoneMap(sierp_copy, SIERP, (1, 1)),
-        MonotoneMap(SIERP, sierp_relabeled, (0, 1)),
-        MonotoneMap(sierp_relabeled, chain_down, (1, 1)),
-        MonotoneMap(TWO, chain_down, (1, 0)),
-        MonotoneMap(chain_down, TWO, (0, 0)),
-        MonotoneMap(SIERP, sierp_copy, (0, 0)),
-    )
-    outcome = MapListOutcome("hom X Y", maps)
+def per_map_print(outcome):
+    """The listing text as each map alone formats it: the pre-table formula."""
 
     def brace(space):
         return _brace(pairwise_space_items(space))
 
-    def assign(f):
-        return [[a, b] for a, b in f.assignment_by_label()]
+    return "\n".join(
+        [outcome.query, f"  count {len(outcome.maps)}"]
+        + [
+            f"  {brace(f.source)} -> {brace(f.target)} = "
+            + _brace([f"{a} |-> {b}" for a, b in f.assignment_by_label()])
+            for f in outcome.maps
+        ]
+    )
 
-    expected_lines = ["hom X Y", f"  count {len(maps)}"] + [
-        f"  {brace(f.source)} -> {brace(f.target)} = "
-        + _brace([f"{a} |-> {b}" for a, b in f.assignment_by_label()])
-        for f in maps
-    ]
-    assert print_result(outcome) == "\n".join(expected_lines)
-    assert encode_result(outcome)["maps"] == [
-        {"source": brace(f.source), "target": brace(f.target), "assign": assign(f)}
-        for f in maps
-    ]
+
+def per_map_record(outcome):
+    """The listing record as each map alone encodes it: the pre-table formula."""
+    return {
+        "format": 1,
+        "query": outcome.query,
+        "count": len(outcome.maps),
+        "maps": [
+            {
+                "source": _brace(pairwise_space_items(f.source)),
+                "target": _brace(pairwise_space_items(f.target)),
+                "assign": [[a, b] for a, b in f.assignment_by_label()],
+            }
+            for f in outcome.maps
+        ],
+    }
+
+
+def assert_renders_as_per_map(outcome):
+    assert print_result(outcome) == per_map_print(outcome)
+    assert json.dumps(encode_result(outcome), sort_keys=True) == json.dumps(
+        per_map_record(outcome), sort_keys=True
+    )
+
+
+SIERP_COPY = build_space(["b", "s"], [("b", "s")])
+SIERP_RELABELED = build_space(["u", "v"], [("u", "v")])
+# The labels of SIERP with the order reversed: same cell tables, other braces.
+CHAIN_DOWN = build_space(["b", "s"], [("s", "b")])
+
+
+def test_map_list_output_matches_per_map_printing():
+    assert SIERP_COPY == SIERP and SIERP_COPY is not SIERP
+    maps = (
+        MonotoneMap(SIERP, SIERP_COPY, (0, 1)),
+        MonotoneMap(SIERP_COPY, SIERP, (1, 1)),
+        MonotoneMap(SIERP, SIERP_RELABELED, (0, 1)),
+        MonotoneMap(SIERP_RELABELED, CHAIN_DOWN, (1, 1)),
+        MonotoneMap(TWO, CHAIN_DOWN, (1, 0)),
+        MonotoneMap(CHAIN_DOWN, TWO, (0, 0)),
+        MonotoneMap(SIERP, SIERP_COPY, (0, 0)),
+    )
+    outcome = MapListOutcome("hom X Y", maps)
+    assert print_result(outcome) == per_map_print(outcome)
+    assert encode_result(outcome)["maps"] == per_map_record(outcome)["maps"]
+
+
+def every_map_interleaved(spaces):
+    """Every map between the spaces, one map per (source, target) pair in turn."""
+    homs = [hom_enumerate(p, q) for p in spaces for q in spaces]
+    return tuple(
+        f for row in itertools.zip_longest(*homs) for f in row if f is not None
+    )
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        pytest.param((), id="empty"),
+        pytest.param(
+            (
+                MonotoneMap(EMPTY, PT, ()),
+                MonotoneMap(EMPTY, SIERP, ()),
+                MonotoneMap(EMPTY, EMPTY, ()),
+                MonotoneMap(EMPTY, PT, ()),
+            ),
+            id="out-of-empty",
+        ),
+        pytest.param(
+            (
+                MonotoneMap(SIERP, TWO, (0, 0)),
+                MonotoneMap(SIERP, TWO, (1, 1)),
+                MonotoneMap(TWO, SIERP, (1, 0)),
+                MonotoneMap(SIERP, TWO, (0, 0)),
+                MonotoneMap(SIERP, TWO, (1, 1)),
+            ),
+            id="pair-returns-after-another",
+        ),
+        pytest.param(
+            (
+                MonotoneMap(SIERP, SIERP, (0, 1)),
+                MonotoneMap(CHAIN_DOWN, CHAIN_DOWN, (0, 1)),
+                MonotoneMap(SIERP, CHAIN_DOWN, (1, 1)),
+                MonotoneMap(CHAIN_DOWN, SIERP, (0, 0)),
+                MonotoneMap(SIERP, SIERP, (1, 1)),
+                MonotoneMap(CHAIN_DOWN, CHAIN_DOWN, (1, 1)),
+            ),
+            id="equal-labels-other-relations",
+        ),
+        pytest.param(
+            every_map_interleaved(
+                enumerate_preorders(2) + [SIERP_COPY, SIERP_RELABELED, CHAIN_DOWN]
+            ),
+            id="every-map-up-to-2-points",
+        ),
+    ],
+)
+def test_map_list_rendering_matches_the_per_map_formula(maps):
+    assert_renders_as_per_map(MapListOutcome("hom X Y", maps))
+
+
+def test_encoded_listing_shares_one_pair_list_per_cell():
+    outcome = MapListOutcome(
+        "hom SIERP TWO",
+        (
+            MonotoneMap(SIERP, TWO, (0, 0)),
+            MonotoneMap(TWO, SIERP, (0, 1)),
+            MonotoneMap(SIERP, TWO, (0, 0)),
+        ),
+    )
+    first, _, third = encode_result(outcome)["maps"]
+    assert first["assign"] == third["assign"] == [["b", "p"], ["s", "p"]]
+    assert all(a is b for a, b in zip(first["assign"], third["assign"]))
