@@ -14,19 +14,16 @@ class Value:
 
     A subclass names its fields in ``__slots__``, in constructor order;
     slots whose names start with ``_`` are private and are not fields.
-    ``_defaults`` holds the defaults of the trailing fields, and fields
-    named in ``_uncompared`` take no part in equality or hashing.
-    ``_setters`` holds the fields' slot stores, for written-out
-    constructors that skip the refusing ``__setattr__``.  As for
-    a frozen dataclass, only instances of the same class compare equal,
-    the hash is that of the tuple of compared fields, and assigning or
-    deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+    The constructor takes every field positionally.  ``_setters`` holds
+    the fields' slot stores, for written-out constructors that skip the
+    refusing ``__setattr__``.  As for a frozen dataclass, only instances
+    of the same class compare equal, the hash is that of the tuple of
+    fields, and assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: tuple = ()
-    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -35,32 +32,15 @@ class Value:
             return
         cls._fields = fields
         cls._setters = tuple(cls.__dict__[name].__set__ for name in fields)
-        compared = [name for name in fields if name not in cls._uncompared]
-        key = attrgetter(*compared)
-        cls._key = key if len(compared) > 1 else staticmethod(lambda value: (key(value),))
+        key = attrgetter(*fields)
+        cls._key = key if len(fields) > 1 else staticmethod(lambda value: (key(value),))
 
-    def __init__(self, *args, **kwargs) -> None:
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
+    def __init__(self, *args) -> None:
+        if len(args) != len(self._fields):
+            name, count = type(self).__name__, len(self._fields)
+            raise TypeError(f"{name}() takes {count} arguments but {len(args)} were given")
         for store, value in zip(self._setters, args):
             store(self, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """Every field's value for a call with keywords or omitted defaults."""
-        fields, name = cls._fields, cls.__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields[len(fields) - len(cls._defaults):], cls._defaults))
-        values.update(zip(fields, args))
-        for field, value in kwargs.items():
-            if field not in fields[len(args):]:
-                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
-            values[field] = value
-        missing = [field for field in fields if field not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        return [values[field] for field in fields]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 when all queries executed (a failing lifting property is a
-successful query), 1 on parse, validation, or usage errors, 2 on internal
-invariant violations.  Results go to stdout, diagnostics to stderr.
+successful query), 1 on parse, validation, or usage errors, and silently
+when stdout is closed early, 2 on internal invariant violations.  Results
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -239,6 +241,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: no input was at fault,
+        # so nothing goes to stderr.  Pointing the descriptor at devnull
+        # keeps the flush at shutdown from failing a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ParseError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -147,71 +147,65 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class _Node(Value):
-    """A declaration or query: its trailing line and col fields say where it
-    starts in the source, default to 0, and take no part in equality."""
-
-    __slots__ = ()
-    _defaults = (0, 0)
-    _uncompared = ("line", "col")
-    line: int
-    col: int
-
-
-class SpaceDecl(_Node):
-    __slots__ = ("name", "labels", "generators", "line", "col")
+class SpaceDecl(Value):
+    __slots__ = ("name", "labels", "generators")
     name: str
     labels: tuple[str, ...]
     generators: tuple[tuple[str, str], ...]
 
 
-class MapDecl(_Node):
+class MapDecl(Value):
+    """A map declaration; line and col are where its ``map`` keyword stands,
+    for the located error when it is not monotone."""
+
     __slots__ = ("name", "source", "target", "pairs", "line", "col")
     name: str
     source: str
     target: str
     pairs: tuple[tuple[str, str], ...]
+    line: int
+    col: int
 
 
-class LiftQuery(_Node):
-    __slots__ = ("left", "right", "line", "col")
+class LiftQuery(Value):
+    __slots__ = ("left", "right")
     left: str
     right: str
 
 
-class CheckQuery(_Node):
-    __slots__ = ("prop", "arg", "line", "col")
+class CheckQuery(Value):
+    __slots__ = ("prop", "arg")
     prop: str
     arg: str
 
 
-class OrthogonalQuery(_Node):
-    __slots__ = ("side", "tests", "size", "line", "col")
+class OrthogonalQuery(Value):
+    __slots__ = ("side", "tests", "size")
     side: str
     tests: tuple[str, ...]
     size: int
 
 
-class MonoQuery(_Node):
-    __slots__ = ("name", "size", "line", "col")
+class MonoQuery(Value):
+    __slots__ = ("name", "size")
     name: str
     size: int
 
 
-class EpiQuery(_Node):
-    __slots__ = ("name", "size", "line", "col")
+class EpiQuery(Value):
+    __slots__ = ("name", "size")
     name: str
     size: int
 
 
-class HomQuery(_Node):
-    __slots__ = ("source", "target", "line", "col")
+class HomQuery(Value):
+    __slots__ = ("source", "target")
     source: str
     target: str
 
 
-class EnumerateQuery(_Node):
-    __slots__ = ("size", "line", "col")
+class EnumerateQuery(Value):
+    __slots__ = ("size",)
     size: int
 
 
@@ -319,7 +313,7 @@ class _Parser:
         return int(digits)
 
     def parse_space(self) -> None:
-        start = self.advance()
+        self.advance()
         name_tok = self.declared_name("space")
         if name_tok.text in self.space_labels:
             raise ParseError(f"space {name_tok.text!r} already declared", name_tok.line, name_tok.col)
@@ -341,9 +335,7 @@ class _Parser:
                     generators.append((second, first))
 
         self.comma_list(item, "RBRACE", "'}'")
-        self.declarations.append(
-            SpaceDecl(name_tok.text, tuple(labels), tuple(generators), start.line, start.col)
-        )
+        self.declarations.append(SpaceDecl(name_tok.text, tuple(labels), tuple(generators)))
         self.space_labels[name_tok.text] = tuple(labels)
 
     def parse_map(self) -> None:
@@ -381,11 +373,11 @@ class _Parser:
         self.map_names.add(name_tok.text)
 
     def parse_lift(self) -> None:
-        start = self.advance()
+        self.advance()
         left = self.map_ref()
         self.expect("LIFT", "'|>'")
         right = self.map_ref()
-        self.queries.append(LiftQuery(left, right, start.line, start.col))
+        self.queries.append(LiftQuery(left, right))
 
     def property_id(self) -> str:
         tok = self.expect("NAME", "a property name")
@@ -402,13 +394,13 @@ class _Parser:
         return prop
 
     def parse_check(self) -> None:
-        start = self.advance()
+        self.advance()
         prop = self.property_id()
         arg = self.space_ref() if prop in SPACE_PROPERTIES else self.map_ref()
-        self.queries.append(CheckQuery(prop, arg, start.line, start.col))
+        self.queries.append(CheckQuery(prop, arg))
 
     def parse_orthogonal(self) -> None:
-        start = self.advance()
+        self.advance()
         side_tok = self.expect("NAME", "'left' or 'right'")
         if side_tok.text not in ("left", "right"):
             raise ParseError(
@@ -419,7 +411,7 @@ class _Parser:
         tests = self.comma_list(self.map_ref, "RBRACKET", "']'")
         self.expect_keyword("size")
         size = self.size_arg("orthogonal")
-        self.queries.append(OrthogonalQuery(side_tok.text, tuple(tests), size, start.line, start.col))
+        self.queries.append(OrthogonalQuery(side_tok.text, tuple(tests), size))
 
     def parse_mono_epi(self) -> None:
         start = self.advance()
@@ -427,18 +419,18 @@ class _Parser:
         self.expect_keyword("size")
         size = self.size_arg(start.text)
         node = MonoQuery if start.text == "mono" else EpiQuery
-        self.queries.append(node(name, size, start.line, start.col))
+        self.queries.append(node(name, size))
 
     def parse_hom(self) -> None:
-        start = self.advance()
+        self.advance()
         source = self.space_ref()
         target = self.space_ref()
-        self.queries.append(HomQuery(source, target, start.line, start.col))
+        self.queries.append(HomQuery(source, target))
 
     def parse_enumerate(self) -> None:
-        start = self.advance()
+        self.advance()
         size = self.size_arg("enumerate")
-        self.queries.append(EnumerateQuery(size, start.line, start.col))
+        self.queries.append(EnumerateQuery(size))
 
 
 # Each statement keyword and its parse method, in the order the "expected
@@ -465,13 +457,11 @@ def parse(text: str) -> Program:
 class Env(Value):
     """Named spaces and maps in scope: built-ins plus elaborated declarations.
 
-    Unlike the other values, an environment is mutable and unhashable.
+    Its fields are dicts, so an environment is unhashable, and elaboration
+    fills them in place.
     """
 
     __slots__ = ("spaces", "maps")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
     spaces: dict[str, FinPreorder]
     maps: dict[str, MonotoneMap]
 

@@ -71,34 +71,30 @@ class FinPreorder(Value):
         _set_order_masks(self, None)
         _set_components(self, None)
         _set_hash(self, None)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            dup = next(a for i, a in enumerate(self.labels) if a in self.labels[:i])
+        n = len(labels)
+        if len(set(labels)) != n:
+            dup = next(a for i, a in enumerate(labels) if a in labels[:i])
             raise ValueError(f"duplicate label {dup!r}")
-        for a in self.labels:
+        for a in labels:
             if not _LABEL_RE.match(a):
                 raise ValueError(f"invalid label {a!r}: labels must match [A-Za-z0-9_]+")
-        if len(self.leq) != n or any(len(row) != n for row in self.leq):
+        if len(leq) != n or any(len(row) != n for row in leq):
             raise ValueError(f"relation must be {n}x{n}")
         for x in range(n):
-            if not self.leq[x][x]:
-                raise ValueError(f"relation not reflexive at {self.labels[x]!r}")
+            if not leq[x][x]:
+                raise ValueError(f"relation not reflexive at {labels[x]!r}")
         # Transitive iff the row of every y above x lies inside the row of x.
         # Rows, and the bits inside each row, are read in index order, so
         # the violation reported is the first (x, y, z) in row-major order.
-        rows = tuple(row_mask(row) for row in self.leq)
+        rows = tuple(row_mask(row) for row in leq)
         for x, row_x in enumerate(rows):
             outside = ~row_x
-            for y, related in enumerate(self.leq[x]):
+            for y, related in enumerate(leq[x]):
                 missing = related and rows[y] & outside
                 if missing:
                     z = (missing & -missing).bit_length() - 1
                     raise ValueError(
-                        "relation not transitive: "
-                        f"{self.labels[x]} <= {self.labels[y]} <= {self.labels[z]}"
+                        f"relation not transitive: {labels[x]} <= {labels[y]} <= {labels[z]}"
                     )
         _set_row_masks(self, rows)
 

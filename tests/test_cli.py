@@ -1,16 +1,24 @@
 """Command-line behaviour: exit codes, output shapes, machine records."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftprop import ValidationError, elaborate, parse
 from liftprop.cli import execute_query, main
+from liftprop.lifting import PROPERTY_IDS, SPACE_PROPERTIES
 from liftprop.notation import (
+    BUILTIN_MAPS,
+    BUILTIN_SPACES,
+    KEYWORDS,
     CheckQuery,
     EnumerateQuery,
     EpiQuery,
@@ -336,6 +344,149 @@ def test_internal_errors_exit_two(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def run_both_ways(text):
+    """(status, stdout, stderr) of `run` on the program, plain and with --machine."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "program.lift"
+        path.write_text(text, encoding="utf-8")
+        runs = []
+        for machine in ([], ["--machine"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(["run", str(path), *machine])
+            runs.append((status, out.getvalue(), err.getvalue()))
+    return runs
+
+
+# Sizes 4 and 5 are left out: `orthogonal left [] size 4` lists 6.6 M maps.
+# S, f and pt can be declared, or are labels, so some declarations succeed.
+FUZZ_TOKENS = sorted(KEYWORDS) + sorted(BUILTIN_SPACES) + sorted(BUILTIN_MAPS) + [
+    *PROPERTY_IDS, "pi0", "-", "injective", "S", "f", "pt",
+    "{", "}", "[", "]", ",", ":", "=", "<", "<>", "->", "|->", "|>", "#", "\n",
+    "0", "1", "2", "3", "6", "9" * 30,
+]
+# Statements of random tokens, each led by a statement keyword so that
+# parsing gets past the first token.
+statements = st.tuples(
+    st.sampled_from(sorted(KEYWORDS - {"size", "left", "right"})),
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8),
+)
+token_streams = st.lists(statements, max_size=5).map(
+    lambda drawn: [token for lead, rest in drawn for token in (lead, *rest)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_streams)
+def test_random_token_streams_exit_0_or_1_with_one_error_line(tokens):
+    (status, _, err), machine = run_both_ways(" ".join(tokens))
+    assert status in (0, 1), err
+    assert machine[0] == status and machine[2] == err
+    if status == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def closure(labels, generators):
+    """The pairs x <= y of the preorder the generators span, by brute force."""
+    leq = {(x, x) for x in labels} | set(generators)
+    while True:
+        more = {(x, z) for x, y in leq for w, z in leq if y == w} - leq
+        if not more:
+            return leq
+        leq |= more
+
+
+@st.composite
+def well_formed_programs(draw):
+    """(text, names and positions of the maps that are not monotone, query texts)."""
+    separator = st.sampled_from([" ", "  ", "\t", "\n", " # note\n", "\n\n "])
+    text = ""
+
+    def put(*tokens):
+        nonlocal text
+        for token in tokens:
+            text += token + draw(separator)
+
+    def put_items(items):
+        for index, item in enumerate(items):
+            put(*([","] if index else []), *item)
+
+    spaces = {}
+    for k in range(draw(st.integers(1, 3))):
+        labels = draw(st.lists(st.sampled_from("abcde"), max_size=3, unique=True))
+        generators = []
+        if labels:
+            label = st.sampled_from(labels)
+            generator = st.tuples(label, st.sampled_from(["<", "<>"]), label)
+            generators = draw(st.lists(generator, max_size=3))
+        put("space", f"S{k}", "=", "{")
+        put_items([[label] for label in labels] + generators)
+        put("}")
+        pairs = [(x, y) for x, _, y in generators]
+        pairs += [(y, x) for x, op, y in generators if op == "<>"]
+        spaces[f"S{k}"] = (labels, closure(labels, pairs))
+    maps, broken = [], []
+    for k in range(draw(st.integers(0, 3))):
+        source, target = (draw(st.sampled_from(sorted(spaces))) for _ in range(2))
+        (source_labels, source_leq), (target_labels, target_leq) = spaces[source], spaces[target]
+        if source_labels and not target_labels:
+            continue
+        image = {x: draw(st.sampled_from(target_labels)) for x in source_labels}
+        if any((image[x], image[y]) not in target_leq for x, y in source_leq):
+            broken.append((f"m{k}", text.count("\n") + 1, len(text) - text.rfind("\n")))
+        put("map", f"m{k}", ":", source, "->", target, "=", "{")
+        put_items([[x, "|->", image[x]] for x in source_labels])
+        put("}")
+        maps.append(f"m{k}")
+    map_names = st.sampled_from(maps + sorted(BUILTIN_MAPS))
+    space_names = st.sampled_from(sorted(spaces) + sorted(BUILTIN_SPACES))
+    kinds = st.sampled_from(["lift", "check", "orthogonal", "mono", "epi", "hom", "enumerate"])
+    queries = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "lift":
+            tokens = ["lift", draw(map_names), "|>", draw(map_names)]
+        elif kind == "check":
+            prop = draw(st.sampled_from(PROPERTY_IDS))
+            arg = draw(space_names if prop in SPACE_PROPERTIES else map_names)
+            tokens = ["check", *prop.replace("-", " - ").split(), arg]
+        elif kind == "orthogonal":
+            tests = draw(st.lists(map_names, max_size=2))
+            side, size = draw(st.sampled_from(["left", "right"])), draw(st.integers(0, 2))
+            listed = [token for name in tests for token in (",", name)][1:]
+            tokens = ["orthogonal", side, "[", *listed, "]", "size", str(size)]
+        elif kind in ("mono", "epi"):
+            tokens = [kind, draw(map_names), "size", str(draw(st.integers(0, 2)))]
+        elif kind == "hom":
+            tokens = ["hom", draw(space_names), draw(space_names)]
+        else:
+            tokens = ["enumerate", str(draw(st.integers(0, 4)))]
+        put(*tokens)
+        # The canonical text each record names its query by.
+        canonical = " ".join(tokens).replace(" - ", "-").replace("[ ", "[").replace(" ]", "]")
+        queries.append(canonical.replace(" , ", ", "))
+    return text, broken, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(well_formed_programs())
+def test_well_formed_programs_exit_0_or_name_the_first_map_that_is_not_monotone(program_parts):
+    text, broken, queries = program_parts
+    (status, out, err), (machine_status, machine_out, machine_err) = run_both_ways(text)
+    assert machine_status == status and machine_err == err
+    if not broken:
+        assert (status, err) == (0, "")
+        assert [line for line in out.splitlines() if not line.startswith(" ")] == queries
+        records = [json.loads(line) for line in machine_out.splitlines()]
+        assert [record["query"] for record in records] == queries
+        return
+    name, line, col = broken[0]
+    assert (status, out, machine_out) == (1, "", "")
+    assert err.startswith(f"error: {line}:{col}: map {name!r} is not monotone: "), err
+    assert err.count("\n") == 1
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "liftprop", "lift", "EMPTY_TO_PT", "CODIAG"],
@@ -344,6 +495,22 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "HOLDS" in result.stdout
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # About 400 KB of output, more than a pipe buffer holds, so the writer
+    # is still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liftprop", "orthogonal", "right", "SIERP_TO_PT", "--max-size", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"orthogonal right [SIERP_TO_PT] size 3\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_cli_import_does_not_load_dataclasses():

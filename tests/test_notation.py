@@ -39,6 +39,7 @@ from liftprop.notation import (
     HomQuery,
     LiftOutcome,
     LiftQuery,
+    MapDecl,
     MapListOutcome,
     MonoQuery,
     OrthogonalQuery,
@@ -265,7 +266,33 @@ def test_monotonicity_is_a_validation_error_not_a_parse_error():
     with pytest.raises(ValidationError) as info:
         elaborate(program)
     assert "not monotone" in info.value.message
-    assert info.value.line == 2
+    assert (info.value.line, info.value.col) == (2, 1)
+
+
+def test_located_monotonicity_error_names_the_map_keyword():
+    text = (
+        "space S = { a < b }\n"
+        "map ok : S -> PT = { a |-> pt, b |-> pt }\n"
+        "\t  map   bad : S -> SIERP = { a |-> s,\n b |-> b }\n"
+    )
+    with pytest.raises(ValidationError) as info:
+        elaborate(parse(text))
+    assert (info.value.line, info.value.col) == (3, 4)
+    assert str(info.value) == "3:4: map 'bad' is not monotone: a <= b but s !<= b"
+
+
+def test_map_declarations_carry_the_position_of_their_keyword():
+    program = parse(
+        "space S = { a }\n"
+        "map f : S -> PT = { a |-> pt }\n"
+        "  # a comment\n"
+        "   map g : S -> S = { a |-> a } map h : PT -> S = { pt |-> a }\n"
+    )
+    maps = program.declarations[1:]
+    assert [(d.name, d.line, d.col) for d in maps] == [("f", 2, 1), ("g", 4, 4), ("h", 4, 33)]
+    assert maps[0] == MapDecl("f", "S", "PT", (("a", "pt"),), 2, 1)
+    assert not hasattr(program.declarations[0], "line")
+    assert not any(hasattr(q, "line") for q in parse("lift CODIAG |> CODIAG\nenumerate 2").queries)
 
 
 def test_space_round_trip_is_exact_up_to_size_3():

@@ -39,6 +39,7 @@ from liftprop.notation import (
     CheckQuery,
     CountsOutcome,
     EnumerateQuery,
+    Env,
     EpiQuery,
     HomQuery,
     LiftOutcome,
@@ -612,13 +613,13 @@ def test_spaces_maps_and_squares_are_slotted_and_frozen():
     square = Square(f, identity(PT), f, identity(PT))
     result = LiftResult(False, square)
     queries = (
-        LiftQuery("f", "g", 2, 1),
-        CheckQuery("T0", "S", 3, 1),
-        OrthogonalQuery("left", ("f",), 2, 4, 1),
-        MonoQuery("f", 2, 5, 1),
-        EpiQuery("f", 2, 6, 1),
-        HomQuery("S", "PT", 7, 1),
-        EnumerateQuery(3, 8, 1),
+        LiftQuery("f", "g"),
+        CheckQuery("T0", "S"),
+        OrthogonalQuery("left", ("f",), 2),
+        MonoQuery("f", 2),
+        EpiQuery("f", 2),
+        HomQuery("S", "PT"),
+        EnumerateQuery(3),
     )
     values = (
         SIERP,
@@ -628,13 +629,14 @@ def test_spaces_maps_and_squares_are_slotted_and_frozen():
         Universe.build(1),
         SuiteReport("mono", 4, 0, None),
         Token("NAME", "S", 1, 7),
-        SpaceDecl("S", ("b", "s"), (("b", "s"),), 1, 1),
+        SpaceDecl("S", ("b", "s"), (("b", "s"),)),
         MapDecl("f", "S", "PT", (("b", "pt"), ("s", "pt")), 2, 1),
         *queries,
         Program((), queries),
         LiftOutcome("lift f |> g", result),
         MapListOutcome("hom S PT", (f,)),
         CountsOutcome("enumerate 1", (1, 1)),
+        Env({}, {}),
     )
     for value in values:
         name = type(value).__name__
@@ -645,21 +647,48 @@ def test_spaces_maps_and_squares_are_slotted_and_frozen():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(value, attr)
     assert f.assign == (0, 0) and square.top is f and result.counterexample is square
+    # An environment's dicts are filled in place, so it has no hash.
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(Env({}, {}))
 
 
-def test_value_equality_ignores_positions_and_respects_class():
-    pairs = (
-        (LiftQuery("f", "g", 3, 4), LiftQuery("f", "g")),
-        (EnumerateQuery(2, 1, 1), EnumerateQuery(2)),
-        (SpaceDecl("S", ("a",), (), 1, 1), SpaceDecl("S", ("a",), (), 9, 9)),
-        (MonoQuery(name="m", size=2, col=5), MonoQuery("m", 2)),
+def test_value_equality_and_hash_respect_class_and_every_field():
+    decl = ("m", "S", "PT", (("a", "pt"),), 2, 1)
+    equal = (
+        (LiftQuery("f", "g"), LiftQuery("f", "g")),
+        (EnumerateQuery(2), EnumerateQuery(2)),
+        (SpaceDecl("S", ("a",), ()), SpaceDecl("S", ("a",), ())),
+        (MapDecl(*decl), MapDecl(*decl)),
         (MonotoneMap(SIERP, PT, (0, 0)), to_point(SIERP)),
     )
-    for located, bare in pairs:
-        assert located == bare and hash(located) == hash(bare)
-    assert MonoQuery(name="m", size=2, col=5).line == 0
+    for a, b in equal:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(MapDecl(*decl)) == hash(decl)
+    # Every field takes part, the position of a declaration included.
+    for k, field in enumerate(MapDecl._fields):
+        changed = MapDecl(*decl[:k], -1, *decl[k + 1:])
+        assert changed != MapDecl(*decl) and hash(changed) != hash(MapDecl(*decl)), field
     assert LiftQuery("f", "g") != LiftQuery("f", "h")
     assert MonoQuery("m", 2) != EpiQuery("m", 2)
     f = to_point(SIERP)
     assert f != (f.source, f.target, f.assign) and (f.source, f.target, f.assign) != f
-    assert repr(LiftQuery("f", "g", 3, 4)) == "LiftQuery(left='f', right='g', line=3, col=4)"
+    assert repr(LiftQuery("f", "g")) == "LiftQuery(left='f', right='g')"
+    assert repr(MapDecl(*decl)) == (
+        "MapDecl(name='m', source='S', target='PT', pairs=(('a', 'pt'),), line=2, col=1)"
+    )
+
+
+def test_value_constructors_take_every_field_positionally():
+    with pytest.raises(TypeError, match=r"^LiftQuery\(\) takes 2 arguments but 4 were given$"):
+        LiftQuery("f", "g", 3, 4)
+    with pytest.raises(TypeError, match=r"^MapDecl\(\) takes 6 arguments but 4 were given$"):
+        MapDecl("m", "S", "PT", ())
+    with pytest.raises(TypeError, match=r"^EnumerateQuery\(\) takes 1 arguments but 0 were given$"):
+        EnumerateQuery()
+    for keywords in (
+        lambda: MonoQuery(name="m", size=2),
+        lambda: MonoQuery("m", size=2),
+        lambda: SuiteReport("mono", 4, 0, first_mismatch=None),
+    ):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            keywords()
