@@ -11,7 +11,7 @@ self-lifting scan.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
 
 from ._value import Value
@@ -26,6 +26,7 @@ from .preorder import (
     VEE,
     FinPreorder,
     MonotoneMap,
+    automorphisms,
     canonical_relabeling,
     codiagonal,
     diagonal,
@@ -307,18 +308,38 @@ class Universe(Value):
         return cls(max_size, spaces, maps)
 
 
+def _first_of_each_class(spaces: Iterable[FinPreorder]) -> Iterator[FinPreorder]:
+    """The spaces whose canonical form no earlier space has, in the order given."""
+    seen = set()
+    for z in spaces:
+        form = canonical_relabeling(z)[0]
+        if form not in seen:
+            seen.add(form)
+            yield z
+
+
 def mono_lift_result(
     f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
 ) -> LiftResult:
-    """Lifting reading of mono: the codiagonal of every test space Z lifts against f."""
-    return _lift_all(((codiagonal(z), f) for z in spaces), cache)
+    """Lifting reading of mono: the codiagonal of every test space Z lifts against f.
+
+    Only the first test space of each isomorphism class is decided.  The
+    codiagonals of isomorphic spaces are isomorphic arrows, so a later
+    space of the class has the same verdict; the first failing space, and
+    so the counterexample, is the one a check of every space finds.
+    """
+    return _lift_all(((codiagonal(z), f) for z in _first_of_each_class(spaces)), cache)
 
 
 def epi_lift_result(
     f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
 ) -> LiftResult:
-    """Lifting reading of epi: f lifts against the diagonal of every test space Z."""
-    return _lift_all(((f, diagonal(z)) for z in spaces), cache)
+    """Lifting reading of epi: f lifts against the diagonal of every test space Z.
+
+    As for mono_lift_result, only the first test space of each isomorphism
+    class is decided: the diagonals of isomorphic spaces are isomorphic.
+    """
+    return _lift_all(((f, diagonal(z)) for z in _first_of_each_class(spaces)), cache)
 
 
 def is_mono_upto(
@@ -394,31 +415,52 @@ def orthogonal_class(
     diagonal of it, transport along them.  So the moved holding maps of
     hom(P0, Q0), sorted, are the holding maps of hom(P, Q) in
     hom_enumerate order, and no failing labeled map is built.
+
+    The same argument runs inside hom(P0, Q0).  For automorphisms sigma
+    of P0 and tau of Q0, (sigma, tau) is an isomorphism in the arrow
+    category from a to the b with b[sigma[x]] = tau[a[x]], so a and b
+    hold together.  The hom-set is walked in order, and only a map whose
+    verdict is still unknown is decided; its verdict is then given to its
+    whole Aut(P0) x Aut(Q0) orbit.  Each group holds the inverse of each
+    member, so the orbit is also every tau after a after sigma, which is
+    how it is built.  When both groups are trivial, every orbit is one
+    map and none is built.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     cache = HomCache() if cache is None else cache
     right = side == "right"
-    representatives: dict[tuple, FinPreorder] = {}
+    representatives: dict[tuple, tuple[FinPreorder, list[tuple[int, ...]]]] = {}
     moves = []
     for space in spaces:
         form, perm = canonical_relabeling(space)
-        rep = representatives.get(form)
-        if rep is None:
+        entry = representatives.get(form)
+        if entry is None:
             labels = tuple(f"e{x}" for x in range(len(perm)))
-            rep = representatives[form] = FinPreorder(labels, form)
-        moves.append((space, rep, perm, tuple(map(perm.index, range(len(perm))))))
+            rep = FinPreorder(labels, form)
+            entry = representatives[form] = (rep, automorphisms(rep))
+        moves.append((space, *entry, perm, tuple(map(perm.index, range(len(perm))))))
     holding: dict[tuple[FinPreorder, FinPreorder], list[tuple[int, ...]]] = {}
     out = []
-    for p, p_rep, _, p_inverse in moves:
-        for q, q_rep, q_perm, _ in moves:
+    for p, p_rep, p_group, _, p_inverse in moves:
+        for q, q_rep, q_group, q_perm, _ in moves:
             kept = holding.get((p_rep, q_rep))
             if kept is None:
-                kept = holding[p_rep, q_rep] = [
-                    m.assign
-                    for m in cache.hom(p_rep, q_rep)
-                    if _lift_all(((t, m) if right else (m, t) for t in tests), cache).holds
-                ]
+                kept = holding[p_rep, q_rep] = []
+                orbits = len(p_group) > 1 or len(q_group) > 1
+                verdicts: dict[tuple[int, ...], bool] = {}
+                for m in cache.hom(p_rep, q_rep):
+                    a = m.assign
+                    holds = verdicts.get(a)
+                    if holds is None:
+                        pairs = ((t, m) if right else (m, t) for t in tests)
+                        holds = _lift_all(pairs, cache).holds
+                        if orbits:
+                            for sigma in p_group:
+                                for tau in q_group:
+                                    verdicts[tuple([tau[a[x]] for x in sigma])] = holds
+                    if holds:
+                        kept.append(a)
             moved = sorted(tuple([q_perm[a0[x]] for x in p_inverse]) for a0 in kept)
             out.extend(MonotoneMap(p, q, a) for a in moved)
     return out

@@ -612,21 +612,25 @@ def _assignment_items(f: MonotoneMap) -> list[str]:
 
 
 def _map_rows(
-    maps: tuple[MonotoneMap, ...], cell: Callable[[str, str], object]
-) -> Iterator[tuple[str, str, list]]:
-    """Yield (source text, target text, items) for each map, in order.
+    maps: tuple[MonotoneMap, ...],
+    cell: Callable[[str, str], object],
+    render: Callable[[list], object],
+) -> Iterator[tuple[str, str, object]]:
+    """Yield (source text, target text, row) for each map, in order.
 
     A map list repeats a few (source, target) pairs many times, so the
     walk formats each pair once.  Each space's brace text is computed once,
     keyed by object identity; the list keeps every space alive, so no
     identity is reused meanwhile.  Each (source labels, target labels) pair
     gets one table whose cell ``[x][v]`` is ``cell(labels[x], labels[v])``,
-    shared by spaces whose labels agree, and a map's items are its row of
-    cells picked by ``f.assign``.  A run of maps with the same endpoints
-    reuses the texts and table of the first.
+    shared by spaces whose labels agree, and a map's row is ``render`` of
+    its list of cells picked by ``f.assign``.  Rows repeat across the
+    spaces that share labels, so each pair also keeps its rendered rows by
+    assignment, and each distinct row is rendered once per call.  A run of
+    maps with the same endpoints reuses the texts and table of the first.
     """
     texts: dict[int, str] = {}
-    tables: dict[tuple[tuple[str, ...], tuple[str, ...]], list[list]] = {}
+    tables: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[list[list], dict]] = {}
 
     def brace(space: FinPreorder) -> str:
         text = texts.get(id(space))
@@ -640,10 +644,14 @@ def _map_rows(
             source, target = f.source, f.target
             source_text, target_text = brace(source), brace(target)
             key = (source.labels, target.labels)
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = [[cell(a, b) for b in key[1]] for a in key[0]]
-        yield source_text, target_text, list(map(list.__getitem__, table, f.assign))
+            entry = tables.get(key)
+            if entry is None:
+                entry = tables[key] = ([[cell(a, b) for b in key[1]] for a in key[0]], {})
+            table, rows = entry
+        row = rows.get(f.assign)
+        if row is None:
+            row = rows[f.assign] = render(list(map(list.__getitem__, table, f.assign)))
+        yield source_text, target_text, row
 
 
 def print_result(outcome: Outcome) -> str:
@@ -657,8 +665,8 @@ def print_result(outcome: Outcome) -> str:
             lines.append(f"  bottom: {_brace(_assignment_items(square.bottom))}")
     elif isinstance(outcome, MapListOutcome):
         lines.append(f"  count {len(outcome.maps)}")
-        for source, target, items in _map_rows(outcome.maps, "{} |-> {}".format):
-            lines.append(f"  {source} -> {target} = {_brace(items)}")
+        for source, target, row in _map_rows(outcome.maps, "{} |-> {}".format, _brace):
+            lines.append(f"  {source} -> {target} = {row}")
     elif isinstance(outcome, CountsOutcome):
         for size, count in enumerate(outcome.counts):
             lines.append(f"  size {size}: {count}")
@@ -675,8 +683,10 @@ def encode_result(outcome: Outcome) -> dict:
     counterexample, when present, lists the top and bottom assignments
     by label.  A map listing's ``assign`` lists hold ``[a, b]`` pair lists
     that are shared within one record: every map sending label ``a`` to
-    ``b`` between spaces with the same labels holds the same list object.
-    Treat the record as read-only; ``json.dumps`` writes each occurrence.
+    ``b`` between spaces with the same labels holds the same list object,
+    and maps with the same assignment between spaces with the same labels
+    hold the same ``assign`` list.  Treat the record as read-only;
+    ``json.dumps`` writes each occurrence.
     """
     if isinstance(outcome, LiftOutcome):
         square = outcome.result.counterexample
@@ -698,8 +708,8 @@ def encode_result(outcome: Outcome) -> dict:
             "query": outcome.query,
             "count": len(outcome.maps),
             "maps": [
-                {"source": source, "target": target, "assign": items}
-                for source, target, items in _map_rows(outcome.maps, lambda a, b: [a, b])
+                {"source": source, "target": target, "assign": row}
+                for source, target, row in _map_rows(outcome.maps, lambda a, b: [a, b], list)
             ],
         }
     if isinstance(outcome, CountsOutcome):

@@ -532,6 +532,22 @@ def canonical_relabeling(
     return form, first
 
 
+def automorphisms(space: FinPreorder) -> list[tuple[int, ...]]:
+    """Every permutation perm with leq[perm[x]][perm[y]] == leq[x][y] for all x, y.
+
+    In itertools.permutations order, so the identity comes first.  Like
+    canonical_relabeling, it reads only the relation and tries all n!
+    permutations: perm is kept when relabeling by it leaves the matrix as
+    it is.
+    """
+    leq = space.leq
+    return [
+        perm
+        for perm in itertools.permutations(range(len(leq)))
+        if tuple(tuple(row[y] for y in perm) for row in (leq[x] for x in perm)) == leq
+    ]
+
+
 def are_isomorphic(p: FinPreorder, q: FinPreorder) -> bool:
     """True iff some relabeling carries p onto q (order both ways)."""
     return len(p) == len(q) and canonical_relabeling(p)[0] == canonical_relabeling(q)[0]

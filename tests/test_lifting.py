@@ -46,7 +46,7 @@ from liftprop import lifting
 from liftprop.cli import execute_query, run_file
 from liftprop.lifting import HomCache, Universe, fibre_table
 from liftprop.notation import BUILTIN_MAPS, Env, OrthogonalQuery
-from liftprop.preorder import FinPreorder, canonical_relabeling
+from liftprop.preorder import FinPreorder, automorphisms, canonical_relabeling
 
 
 def test_square_requires_matching_endpoints():
@@ -446,8 +446,22 @@ def relabeling_class(m):
     return p_form, q_form, moved(m, a, b).assign
 
 
+def orbit(m):
+    """m's orbit under Aut(source) x Aut(target): every b with b[sigma[x]] = tau[m[x]]."""
+    out = set()
+    for sigma in automorphisms(m.source):
+        for tau in automorphisms(m.target):
+            b = [0] * len(sigma)
+            for x, v in enumerate(m.assign):
+                b[sigma[x]] = tau[v]
+            out.add(tuple(b))
+    return out
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_orthogonal_class_decides_each_relabeling_class_once_per_test(monkeypatch, side):
+    """Each decided map is the first of its automorphism orbit in hom order,
+    so at most one map per orbit of the 1,476 maps between representatives."""
     universe = Universe.build(3)
     tests = [EMPTY_TO_PT, CODIAG]
     calls = []
@@ -455,14 +469,17 @@ def test_orthogonal_class_decides_each_relabeling_class_once_per_test(monkeypatc
 
     def counting_check(f, g, cache=None):
         m, t = (g, f) if side == "right" else (f, g)
-        calls.append((relabeling_class(m), t))
+        calls.append((m, t))
         return check(f, g, cache)
 
     monkeypatch.setattr(lifting, "lifting_check", counting_check)
     got = orthogonal_class(side, tests, universe.spaces)
     classes = {relabeling_class(m) for m in universe.maps}
     assert len(universe.maps) == 11345 and len(classes) == 1476
-    assert len(calls) == len(set(calls)) <= len(classes) * len(tests)
+    assert len(calls) == len(set(calls)) <= 661 * len(tests)
+    for m in {m for m, _ in calls}:
+        homs = [h.assign for h in hom_enumerate(m.source, m.target)]
+        assert m.assign == min(orbit(m), key=homs.index)
     monkeypatch.setattr(lifting, "lifting_check", check)
     assert got == per_map_orthogonal_class(side, tests, universe, HomCache())
 

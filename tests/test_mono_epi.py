@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from liftprop import (
+    EMPTY_TO_PT,
+    FinPreorder,
     codiagonal,
     diagonal,
     elaborate,
@@ -27,6 +29,7 @@ from liftprop import (
     parse,
 )
 from liftprop.cli import execute_query, run_file
+from liftprop.lifting import HomCache, Universe, epi_lift_result, mono_lift_result
 from liftprop.notation import BUILTIN_MAPS, Env, EpiQuery, MonoQuery
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,3 +107,46 @@ def test_mono_epi_queries_never_build_a_universe(monkeypatch):
             epi = execute_query(EpiQuery(name, size), env).result
             assert mono.holds == (name != "CODIAG" or size == 0)
             assert epi.holds == (name == "CODIAG" or size <= 1)
+
+
+SPACES_3 = enumerate_preorders(3)
+
+
+def relabeled(space):
+    """The space with its points in reverse order and fresh labels: isomorphic, not equal."""
+    perm = range(len(space) - 1, -1, -1)
+    return FinPreorder(
+        tuple(f"z{x}" for x in perm), tuple(tuple(space.leq[x][y] for y in perm) for x in perm)
+    )
+
+
+TEST_SPACE_LISTS = {
+    "forwards": SPACES_3,
+    "reversed": SPACES_3[::-1],
+    "relabeled-and-repeated": [w for z in SPACES_3 for w in (relabeled(z), z, relabeled(z), z)],
+}
+
+
+@pytest.mark.parametrize("spaces", TEST_SPACE_LISTS.values(), ids=TEST_SPACE_LISTS.keys())
+def test_mono_epi_equal_the_check_of_every_test_space(spaces):
+    """Deciding the first space of each class gives the verdict and the
+    counterexample of a check of every space, in the order given."""
+    cache = HomCache()
+    for f in Universe.build(2, cache).maps + tuple(BUILTIN_MAPS.values()):
+        mono = lifting._lift_all(((codiagonal(z), f) for z in spaces), cache)
+        epi = lifting._lift_all(((f, diagonal(z)) for z in spaces), cache)
+        assert mono_lift_result(f, spaces, cache) == mono, f
+        assert epi_lift_result(f, spaces, cache) == epi, f
+
+
+def test_holding_mono_decides_one_test_space_per_class(monkeypatch):
+    calls = []
+    check = lifting.lifting_check
+
+    def counting_check(f, g, cache=None):
+        calls.append(f.target)
+        return check(f, g, cache)
+
+    monkeypatch.setattr(lifting, "lifting_check", counting_check)
+    assert mono_lift_result(EMPTY_TO_PT, SPACES_3).holds
+    assert len(SPACES_3) == 35 and len(calls) == 14

@@ -44,6 +44,7 @@ from liftprop.notation import (
     MonoQuery,
     OrthogonalQuery,
     _brace,
+    _map_rows,
     _space_items,
     _tokenize,
 )
@@ -600,6 +601,26 @@ def test_map_list_rendering_matches_the_per_map_formula(maps):
     assert_renders_as_per_map(MapListOutcome("hom X Y", maps))
 
 
+def test_each_distinct_row_is_rendered_once_per_listing():
+    """Spaces with equal labels share rows: e0 -> e1 maps between the four
+    two-point spaces, and the b, s spaces."""
+    maps = every_map_interleaved(
+        enumerate_preorders(2) + [SIERP_COPY, SIERP_RELABELED, CHAIN_DOWN]
+    )
+    distinct = {(f.source.labels, f.target.labels, f.assign) for f in maps}
+    assert len(distinct) < len(maps)
+    for cell, render in [("{} |-> {}".format, _brace), (lambda a, b: [a, b], list)]:
+        rendered = []
+
+        def counting_render(cells):
+            rendered.append(cells)
+            return render(cells)
+
+        rows = [row for _, _, row in _map_rows(maps, cell, counting_render)]
+        assert len(rows) == len(maps) and len(rendered) == len(distinct)
+    assert_renders_as_per_map(MapListOutcome("hom X Y", maps))
+
+
 def test_encoded_listing_shares_one_pair_list_per_cell():
     outcome = MapListOutcome(
         "hom SIERP TWO",
@@ -612,3 +633,4 @@ def test_encoded_listing_shares_one_pair_list_per_cell():
     first, _, third = encode_result(outcome)["maps"]
     assert first["assign"] == third["assign"] == [["b", "p"], ["s", "p"]]
     assert all(a is b for a, b in zip(first["assign"], third["assign"]))
+    assert first["assign"] is third["assign"]

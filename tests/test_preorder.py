@@ -6,6 +6,7 @@ oracle implemented here, independent of the library's search code.
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from liftprop import (
     to_point,
 )
 from liftprop.lifting import LiftResult, Universe
-from liftprop.preorder import are_isomorphic, canonical_relabeling
+from liftprop.preorder import are_isomorphic, automorphisms, canonical_relabeling
 from liftprop.notation import (
     CheckQuery,
     CountsOutcome,
@@ -430,6 +431,61 @@ def test_canonical_relabeling_ignores_labels():
     vee = build_space(["r", "m", "l"], [("m", "l"), ("m", "r")])
     assert canonical_relabeling(vee) == canonical_relabeling(VEE)
     assert canonical_relabeling(EMPTY) == ((), ())
+
+
+def test_automorphisms_are_the_permutations_preserving_the_relation():
+    """The identity first, then the brute-force filter in permutation order."""
+    for space in enumerate_preorders(4):
+        leq, points = space.leq, range(len(space))
+        want = [
+            perm
+            for perm in itertools.permutations(points)
+            if all(leq[perm[x]][perm[y]] == leq[x][y] for x in points for y in points)
+        ]
+        got = automorphisms(space)
+        assert got[0] == tuple(points)
+        assert got == want
+
+
+def representatives(max_size):
+    """One space per canonical form on at most max_size points, labels e0, e1, ..."""
+    forms = {canonical_relabeling(space)[0] for space in enumerate_preorders(max_size)}
+    return [FinPreorder(tuple(f"e{x}" for x in range(len(form))), form) for form in sorted(forms)]
+
+
+def test_orbit_weights_count_every_labeled_space():
+    """n!/|Aut| labeled spaces per class add up to the labeled preorders of each size."""
+    by_size = [0] * 5
+    for rep in representatives(4):
+        n = len(rep)
+        by_size[n] += math.factorial(n) // len(automorphisms(rep))
+    assert by_size == [1, 1, 4, 29, 355]
+
+
+def orbit_count(p, q):
+    """Orbits of Aut(p) x Aut(q) on hom(p, q): b[sigma[x]] = tau[a[x]]."""
+    seen, orbits = set(), 0
+    pairs = [(sigma, tau) for sigma in automorphisms(p) for tau in automorphisms(q)]
+    for m in hom_enumerate(p, q):
+        if m.assign in seen:
+            continue
+        orbits += 1
+        for sigma, tau in pairs:
+            b = [0] * len(p)
+            for x, v in enumerate(m.assign):
+                b[sigma[x]] = tau[v]
+            seen.add(tuple(b))
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "max_size, reps, maps, orbits", [(3, 14, 1476, 661), (4, 47, 87436, 25586)]
+)
+def test_maps_between_representatives_and_their_orbits(max_size, reps, maps, orbits):
+    spaces = representatives(max_size)
+    assert len(spaces) == reps
+    assert sum(len(hom_enumerate(p, q)) for p in spaces for q in spaces) == maps
+    assert sum(orbit_count(p, q) for p in spaces for q in spaces) == orbits
 
 
 def permutation_isomorphic(p, q):

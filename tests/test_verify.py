@@ -11,10 +11,20 @@ from liftprop import (
     MAP_PROPERTIES,
     PROPERTY_IDS,
     SPACE_PROPERTIES,
+    FinPreorder,
     SuiteReport,
+    characterize,
+    enumerate_preorders,
+    has_dense_image,
+    has_induced_topology,
+    is_injective,
+    is_surjective,
+    pi0_injective,
     verify,
     verify_paper,
 )
+from liftprop.lifting import HomCache
+from liftprop.preorder import canonical_relabeling
 
 SUITE_ORDER = [
     "surjective",
@@ -87,3 +97,34 @@ def test_benchmark_tracer_sees_every_suite_and_oracle():
         assert set(names) <= seen, suite
     assert {f"oracles.{name}" for name in tracing.ORACLES} <= seen
     assert verify.characterize is original
+
+
+MAP_ORACLES = {
+    "surjective": is_surjective,
+    "injective": is_injective,
+    "dense": has_dense_image,
+    "induced": has_induced_topology,
+    "pi0-injective": pi0_injective,
+}
+
+
+def test_map_properties_agree_with_their_oracles_between_size_4_representatives():
+    """Every map between the 47 representatives of spaces on at most 4 points.
+
+    A lifting form and its oracle both hold or fail together along
+    isomorphisms of arrows, so this covers every labeled map on at most 4
+    points, where the map suites of verify_paper stop at 3.
+    """
+    forms = sorted({canonical_relabeling(space)[0] for space in enumerate_preorders(4)})
+    reps = [FinPreorder(tuple(f"e{x}" for x in range(len(form))), form) for form in forms]
+    cache = HomCache()
+    maps = [m for p in reps for q in reps for m in cache.hom(p, q)]
+    assert list(MAP_ORACLES) == list(MAP_PROPERTIES)
+    assert len(reps) == 47 and len(maps) == 87436
+    mismatches = [
+        (name, m)
+        for name, oracle in MAP_ORACLES.items()
+        for m in maps
+        if characterize(name, m, cache).holds != oracle(m)
+    ]
+    assert mismatches == []
