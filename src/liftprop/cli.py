@@ -124,8 +124,11 @@ def execute_query(query: Query, env: Env) -> Outcome:
 
     Every name and size is checked here, before any enumeration, so a
     query naming a space, map or property not in scope, or with a size
-    outside SIZE_CAPS, is refused with a ValidationError.  Every query
-    gets a fresh hom-set cache, so concurrent queries never share state.
+    outside SIZE_CAPS, is refused with a ValidationError.  Queries share
+    the per-size domain of spaces, which is immutable: the labeled
+    preorders, their canonical forms and the representatives, each size
+    built once per process on first use.  Hom-sets stay per query: every
+    query gets a fresh HomCache.
     """
     cache = HomCache()
     text = print_query(query)

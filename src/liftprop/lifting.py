@@ -26,13 +26,14 @@ from .preorder import (
     VEE,
     FinPreorder,
     MonotoneMap,
-    automorphisms,
+    Representative,
     canonical_relabeling,
     codiagonal,
     diagonal,
     enumerate_preorders,
     hom_enumerate,
     monotone_assignments,
+    representatives,
     to_point,
 )
 
@@ -309,7 +310,10 @@ class Universe(Value):
 
 
 def _first_of_each_class(spaces: Iterable[FinPreorder]) -> Iterator[FinPreorder]:
-    """The spaces whose canonical form no earlier space has, in the order given."""
+    """The spaces whose canonical form no earlier space has, in the order given.
+
+    Each form is read from canonical_relabeling's per-size table.
+    """
     seen = set()
     for z in spaces:
         form = canonical_relabeling(z)[0]
@@ -402,12 +406,14 @@ def orthogonal_class(
 
     side="right" keeps g with t lifting against g for all tests t;
     side="left" keeps f with f lifting against all tests.  ``spaces`` is
-    read once.  Output runs over (source, target) pairs in ``spaces``
-    order, source outer, and each hom-set in hom_enumerate order.
+    read once, and each space has at most DEFAULT_SIZE_CAP points.  Output
+    runs over (source, target) pairs in ``spaces`` order, source outer,
+    and each hom-set in hom_enumerate order.
 
-    Only maps between representatives are decided: one space
-    FinPreorder(("e0", ...), form) per canonical form.  canonical_relabeling
-    carries a space P onto its representative by perm_P (point x of the
+    Only maps between representatives are decided: the space
+    FinPreorder(("e0", ...), form) of each canonical form, read with its
+    automorphism group from representatives(n).  canonical_relabeling carries a
+    space P onto its representative by perm_P (point x of the
     representative is point perm_P[x] of P), so a0: P0 -> Q0 moves to
     a: P -> Q with a[perm_P[x]] = perm_Q[a0[x]].  The move is an
     isomorphism in the arrow category, and a lifting property against a
@@ -430,16 +436,16 @@ def orthogonal_class(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     cache = HomCache() if cache is None else cache
     right = side == "right"
-    representatives: dict[tuple, tuple[FinPreorder, list[tuple[int, ...]]]] = {}
+    classes: dict[tuple, Representative] = {}
     moves = []
     for space in spaces:
         form, perm = canonical_relabeling(space)
-        entry = representatives.get(form)
+        entry = classes.get(form)
         if entry is None:
-            labels = tuple(f"e{x}" for x in range(len(perm)))
-            rep = FinPreorder(labels, form)
-            entry = representatives[form] = (rep, automorphisms(rep))
-        moves.append((space, *entry, perm, tuple(map(perm.index, range(len(perm))))))
+            classes.update((r.space.leq, r) for r in representatives(len(perm)))
+            entry = classes[form]
+        inverse = tuple(map(perm.index, range(len(perm))))
+        moves.append((space, entry.space, entry.group, perm, inverse))
     holding: dict[tuple[FinPreorder, FinPreorder], list[tuple[int, ...]]] = {}
     out = []
     for p, p_rep, p_group, _, p_inverse in moves:

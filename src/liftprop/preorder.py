@@ -8,6 +8,7 @@ if they have the same labels in the same order and the same relation).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections.abc import Iterator, Sequence
@@ -480,33 +481,119 @@ def enumerate_preorders(n: int) -> list[FinPreorder]:
 
     Labels are canonical (e0, e1, ...).  Within one size, matrices come out
     in row-major lexicographic order.  Raises when n exceeds DEFAULT_SIZE_CAP.
-    Each size k is one _search over row masks: point x takes the rows with
-    bit x set, in lexicographic order, and each pair p < x has a table
-    whose entry at row p is the mask of the rows x may take beside it.  A
-    row x may not when p <= x and row x is not inside row p, or x <= p and
-    row p is not inside row x; that every pair agrees is transitivity.
+    Each size is enumerated once per process, by _preorders_of_size; every
+    call returns a new list of the same immutable spaces.
     """
+    _check_size_bound(n)
+    return [space for k in range(n + 1) for space in _preorders_of_size(k)]
+
+
+def _check_size_bound(n: int) -> None:
     if n < 0:
         raise ValueError("size bound must be nonnegative")
     if n > DEFAULT_SIZE_CAP:
         raise ValueError(f"size bound {n} exceeds the hard cap {DEFAULT_SIZE_CAP}")
-    out: list[FinPreorder] = []
-    for k in range(n + 1):
-        labels = tuple(f"e{i}" for i in range(k))
-        rows = [row_mask(bits) for bits in itertools.product((False, True), repeat=k)]
-        pairs = [(p, x) for x in range(k) for p in range(x)]
-        links = [[(p, t) for t, (p, y) in enumerate(pairs) if y == x] for x in range(k)]
-        tables = [
-            [
-                sum(1 << b for b in rows if not (a >> x & 1 and b & ~a or b >> p & 1 and a & ~b))
-                for a in range(1 << k)
-            ]
-            for p, x in pairs
+
+
+@functools.cache
+def _preorders_of_size(k: int) -> tuple[FinPreorder, ...]:
+    """The labeled preorders on k points, in row-major lexicographic order.
+
+    One _search over row masks: point x takes the rows with bit x set, in
+    lexicographic order, and each pair p < x has a table whose entry at
+    row p is the mask of the rows x may take beside it.  A row x may not
+    when p <= x and row x is not inside row p, or x <= p and row p is not
+    inside row x; that every pair agrees is transitivity.  Every matrix is
+    built from the same 2^k row tuples.
+    """
+    labels = tuple(f"e{i}" for i in range(k))
+    row_of = {row_mask(bits): bits for bits in itertools.product((False, True), repeat=k)}
+    rows = list(row_of)
+    pairs = [(p, x) for x in range(k) for p in range(x)]
+    links = [[(p, t) for t, (p, y) in enumerate(pairs) if y == x] for x in range(k)]
+    tables = [
+        [
+            sum(1 << b for b in rows if not (a >> x & 1 and b & ~a or b >> p & 1 and a & ~b))
+            for a in range(1 << k)
         ]
-        for matrix in _search(links, tables, [[r for r in rows if r >> x & 1] for x in range(k)]):
-            leq = tuple(tuple(bool(row >> y & 1) for y in range(k)) for row in matrix)
-            out.append(FinPreorder(labels, leq))
-    return out
+        for p, x in pairs
+    ]
+    candidates = [[r for r in rows if r >> x & 1] for x in range(k)]
+    return tuple(
+        FinPreorder(labels, tuple(map(row_of.__getitem__, matrix)))
+        for matrix in _search(links, tables, candidates)
+    )
+
+
+class Representative(Value):
+    """One isomorphism class of preorders on n points.
+
+    ``space`` is the member FinPreorder(("e0", ...), form) whose relation
+    is the class's canonical form, ``group`` its automorphisms in
+    itertools.permutations order (the identity first), and ``weight``
+    the number n!/|group| of labeled spaces on n points in the class.
+    """
+
+    __slots__ = ("space", "group", "weight")
+    space: FinPreorder
+    group: tuple[tuple[int, ...], ...]
+    weight: int
+
+
+def representatives(n: int) -> tuple[Representative, ...]:
+    """One Representative per isomorphism class of preorders on exactly n points.
+
+    In canonical-form order, read from the domain _classes_of_size builds
+    once per process.  Raises as enumerate_preorders does.
+    """
+    _check_size_bound(n)
+    return _classes_of_size(n)[1]
+
+
+@functools.cache
+def _classes_of_size(k: int) -> tuple[dict, tuple[Representative, ...]]:
+    """(forms, representatives) of the preorders on k points, by one orbit sweep.
+
+    ``forms`` maps the relation of each labeled space on k points to its
+    canonical_relabeling, keyed by the enumerated relation objects.  The
+    sweep walks _preorders_of_size(k) in its row-major order, so the first
+    space of each class is the least relabeling of every member: its own
+    relation is the form, and it is the representative.  Only it is
+    relabeled, by all k! permutations; those that leave it as it is are
+    its group.  Every other member is its relabeling by some pi, and that
+    member's perm is the least rho with pi after rho in the group: the
+    least pi^-1 after sigma over the group's sigma.  The entry waits in
+    ``pending`` under the relabeled matrix until the walk reaches the
+    enumerated space with that relation, which takes it over.
+    """
+    perms = list(itertools.permutations(range(k)))
+    interned = {perm: perm for perm in perms}
+    forms: dict = {}
+    pending: dict = {}
+    classes = []
+    for space in _preorders_of_size(k):
+        form = space.leq
+        entry = pending.pop(form, None)
+        if entry is not None:
+            forms[form] = entry
+            continue
+        members = [(_relabeled(form, pi), pi) for pi in perms]
+        group = tuple(pi for matrix, pi in members if matrix == form)
+        classes.append(Representative(space, group, len(perms) // len(group)))
+        for matrix, pi in members:
+            if matrix not in pending:
+                inverse = tuple(map(pi.index, range(k)))
+                rho = min(tuple([inverse[v] for v in sigma]) for sigma in group)
+                pending[matrix] = (form, interned[rho])
+        forms[form] = pending.pop(form)
+    return forms, tuple(classes)
+
+
+def _relabeled(
+    leq: tuple[tuple[bool, ...], ...], perm: tuple[int, ...]
+) -> tuple[tuple[bool, ...], ...]:
+    """The relation with old point perm[x] at index x: entry leq[perm[x]][perm[y]] at (x, y)."""
+    return tuple([tuple([row[y] for y in perm]) for row in map(leq.__getitem__, perm)])
 
 
 def canonical_relabeling(
@@ -519,14 +606,17 @@ def canonical_relabeling(
     the least such matrix in row-major order, ``perm`` the first
     permutation in itertools.permutations order whose matrix it is.  Two
     spaces are isomorphic exactly when their forms are equal.  Only the
-    relation is read, never the labels.  The search is brute force over
-    all n! permutations (McKay and Piperno's canonical form without the
-    partition refinement), which is cheap for the sizes a universe has.
+    relation is read, never the labels.  A space of at most
+    DEFAULT_SIZE_CAP points reads the table of its size (_classes_of_size);
+    a larger one is searched by brute force over all n! permutations
+    (McKay and Piperno's canonical form without the partition refinement).
     """
     leq = space.leq
+    if len(leq) <= DEFAULT_SIZE_CAP:
+        return _classes_of_size(len(leq))[0][leq]
     form, first = None, ()
     for perm in itertools.permutations(range(len(leq))):
-        matrix = tuple(tuple(row[y] for y in perm) for row in (leq[x] for x in perm))
+        matrix = _relabeled(leq, perm)
         if form is None or matrix < form:
             form, first = matrix, perm
     return form, first
@@ -535,17 +625,13 @@ def canonical_relabeling(
 def automorphisms(space: FinPreorder) -> list[tuple[int, ...]]:
     """Every permutation perm with leq[perm[x]][perm[y]] == leq[x][y] for all x, y.
 
-    In itertools.permutations order, so the identity comes first.  Like
-    canonical_relabeling, it reads only the relation and tries all n!
-    permutations: perm is kept when relabeling by it leaves the matrix as
-    it is.
+    In itertools.permutations order, so the identity comes first.  Brute
+    force over all n! permutations: perm is kept when relabeling by it
+    leaves the matrix as it is.
     """
     leq = space.leq
-    return [
-        perm
-        for perm in itertools.permutations(range(len(leq)))
-        if tuple(tuple(row[y] for y in perm) for row in (leq[x] for x in perm)) == leq
-    ]
+    perms = itertools.permutations(range(len(leq)))
+    return [perm for perm in perms if _relabeled(leq, perm) == leq]
 
 
 def are_isomorphic(p: FinPreorder, q: FinPreorder) -> bool:

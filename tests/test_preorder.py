@@ -35,6 +35,7 @@ from liftprop import (
     to_point,
 )
 from liftprop.lifting import LiftResult, Universe
+from liftprop import preorder
 from liftprop.preorder import are_isomorphic, automorphisms, canonical_relabeling
 from liftprop.notation import (
     CheckQuery,
@@ -388,6 +389,18 @@ def test_enumeration_is_deterministic_and_duplicate_free():
     assert len(set(first)) == len(first)
 
 
+def test_enumeration_returns_a_new_list_of_the_same_spaces_on_each_call():
+    first = enumerate_preorders(3)
+    second = enumerate_preorders(3)
+    assert first is not second
+    assert first == second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    first.append(PT)
+    assert enumerate_preorders(3) == second
+    assert len(enumerate_preorders(3)) == 1 + 1 + 4 + 29
+
+
 def test_enumeration_uses_canonical_labels():
     for space in enumerate_preorders(3):
         assert space.labels == tuple(f"e{k}" for k in range(len(space)))
@@ -427,6 +440,41 @@ def test_canonical_relabeling_carries_each_space_onto_its_form():
         assert perm == next(p for relation, p in relations if relation == form)
 
 
+def brute_force_canonical_relabeling(space):
+    """The least relabeled relation and the first permutation reaching it, over all n!."""
+    form, first = None, None
+    for perm in itertools.permutations(range(len(space))):
+        relation = relabeled_relation(space, perm)
+        if form is None or relation < form:
+            form, first = relation, perm
+    return form, first
+
+
+SIZE_5 = [space for space in enumerate_preorders(5) if len(space) == 5]
+
+
+def test_canonical_relabeling_carries_each_five_point_space_onto_its_form():
+    forms = {r.space.leq for r in preorder.representatives(5)}
+    assert len(SIZE_5) == 6942
+    for space in SIZE_5:
+        form, perm = canonical_relabeling(space)
+        assert sorted(perm) == list(range(5))
+        assert relabeled_relation(space, perm) == form
+        assert form in forms
+
+
+@given(
+    space=st.sampled_from(SIZE_5),
+    perm=st.permutations(range(5)),
+    labels=st.permutations(["a", "b", "c", "d", "e"]),
+)
+def test_canonical_relabeling_of_relabeled_five_point_spaces_is_brute_force(space, perm, labels):
+    relabeled = FinPreorder(tuple(labels), relabeled_relation(space, perm))
+    expected = brute_force_canonical_relabeling(relabeled)
+    assert canonical_relabeling(relabeled) == expected
+    assert canonical_relabeling(space)[0] == expected[0]
+
+
 def test_canonical_relabeling_ignores_labels():
     vee = build_space(["r", "m", "l"], [("m", "l"), ("m", "r")])
     assert canonical_relabeling(vee) == canonical_relabeling(VEE)
@@ -460,6 +508,32 @@ def test_orbit_weights_count_every_labeled_space():
         n = len(rep)
         by_size[n] += math.factorial(n) // len(automorphisms(rep))
     assert by_size == [1, 1, 4, 29, 355]
+
+
+def test_domain_representatives_match_the_brute_force_classes():
+    """representatives(n) per size: the classes of the oracle above, in form order."""
+    oracle = representatives(4)
+    for n in range(5):
+        got = preorder.representatives(n)
+        assert [r.space for r in got] == [rep for rep in oracle if len(rep) == n]
+        for r in got:
+            assert list(r.group) == automorphisms(r.space)
+            assert r.weight == math.factorial(n) // len(r.group)
+            assert canonical_relabeling(r.space) == (r.space.leq, tuple(range(n)))
+
+
+def test_domain_class_counts_and_orbit_weights_by_size():
+    classes = [preorder.representatives(n) for n in range(6)]
+    assert [len(c) for c in classes] == [1, 1, 3, 9, 33, 139]
+    assert [sum(r.weight for r in c) for c in classes] == [1, 1, 4, 29, 355, 6942]
+    for c in classes:
+        forms = [r.space.leq for r in c]
+        assert forms == sorted(forms)
+    assert preorder.representatives(5) is classes[5]
+    with pytest.raises(ValueError, match="hard cap"):
+        preorder.representatives(6)
+    with pytest.raises(ValueError, match="nonnegative"):
+        preorder.representatives(-1)
 
 
 def orbit_count(p, q):
