@@ -126,9 +126,9 @@ def execute_query(query: Query, env: Env) -> Outcome:
     query naming a space, map or property not in scope, or with a size
     outside SIZE_CAPS, is refused with a ValidationError.  Queries share
     the per-size domain of spaces, which is immutable: the labeled
-    preorders, their canonical forms and the representatives, each size
-    built once per process on first use.  Hom-sets stay per query: every
-    query gets a fresh HomCache.
+    preorders and the class_of of each, each size built once per process
+    on first use.  Hom-sets stay per query: every query gets a fresh
+    HomCache.
     """
     cache = HomCache()
     text = print_query(query)

@@ -26,14 +26,12 @@ from .preorder import (
     VEE,
     FinPreorder,
     MonotoneMap,
-    Representative,
-    canonical_relabeling,
+    class_of,
     codiagonal,
     diagonal,
     enumerate_preorders,
     hom_enumerate,
     monotone_assignments,
-    representatives,
     to_point,
 )
 
@@ -310,15 +308,15 @@ class Universe(Value):
 
 
 def _first_of_each_class(spaces: Iterable[FinPreorder]) -> Iterator[FinPreorder]:
-    """The spaces whose canonical form no earlier space has, in the order given.
+    """The spaces whose isomorphism class no earlier space has, in the order given.
 
-    Each form is read from canonical_relabeling's per-size table.
+    Each class is read from class_of and keyed on its space.
     """
     seen = set()
     for z in spaces:
-        form = canonical_relabeling(z)[0]
-        if form not in seen:
-            seen.add(form)
+        rep = class_of(z)[0].space
+        if rep not in seen:
+            seen.add(rep)
             yield z
 
 
@@ -406,15 +404,15 @@ def orthogonal_class(
 
     side="right" keeps g with t lifting against g for all tests t;
     side="left" keeps f with f lifting against all tests.  ``spaces`` is
-    read once, and each space has at most DEFAULT_SIZE_CAP points.  Output
-    runs over (source, target) pairs in ``spaces`` order, source outer,
-    and each hom-set in hom_enumerate order.
+    read once, and its spaces may have any size.  Output runs over
+    (source, target) pairs in ``spaces`` order, source outer, and each
+    hom-set in hom_enumerate order.
 
     Only maps between representatives are decided: the space
-    FinPreorder(("e0", ...), form) of each canonical form, read with its
-    automorphism group from representatives(n).  canonical_relabeling carries a
-    space P onto its representative by perm_P (point x of the
-    representative is point perm_P[x] of P), so a0: P0 -> Q0 moves to
+    FinPreorder(("e0", ...), form) of each class, read with its
+    automorphism group from class_of, which also carries a space P onto
+    its representative by perm_P (point x of the representative is
+    point perm_P[x] of P), so a0: P0 -> Q0 moves to
     a: P -> Q with a[perm_P[x]] = perm_Q[a0[x]].  The move is an
     isomorphism in the arrow category, and a lifting property against a
     fixed test is invariant under those: a commuting square, and a
@@ -436,16 +434,11 @@ def orthogonal_class(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     cache = HomCache() if cache is None else cache
     right = side == "right"
-    classes: dict[tuple, Representative] = {}
     moves = []
     for space in spaces:
-        form, perm = canonical_relabeling(space)
-        entry = classes.get(form)
-        if entry is None:
-            classes.update((r.space.leq, r) for r in representatives(len(perm)))
-            entry = classes[form]
+        rep, perm = class_of(space)
         inverse = tuple(map(perm.index, range(len(perm))))
-        moves.append((space, entry.space, entry.group, perm, inverse))
+        moves.append((space, rep.space, rep.group, perm, inverse))
     holding: dict[tuple[FinPreorder, FinPreorder], list[tuple[int, ...]]] = {}
     out = []
     for p, p_rep, p_group, _, p_inverse in moves:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from collections.abc import Iterator, Sequence
 
@@ -532,6 +533,8 @@ class Representative(Value):
     is the class's canonical form, ``group`` its automorphisms in
     itertools.permutations order (the identity first), and ``weight``
     the number n!/|group| of labeled spaces on n points in the class.
+    class_of gives the class of a space of any size; above
+    DEFAULT_SIZE_CAP points it builds a new Representative on each call.
     """
 
     __slots__ = ("space", "group", "weight")
@@ -550,93 +553,96 @@ def representatives(n: int) -> tuple[Representative, ...]:
     return _classes_of_size(n)[1]
 
 
+def class_of(space: FinPreorder) -> tuple[Representative, tuple[int, ...]]:
+    """(rep, perm): the isomorphism class of the space and the first relabeling onto it.
+
+    rep.space's relation, the canonical form, is the least matrix over the
+    space's _relabelings in row-major order, and ``perm`` the first
+    permutation reaching it.  Two spaces are isomorphic exactly when their
+    classes have equal spaces; labels are never read.  At most
+    DEFAULT_SIZE_CAP points read the table of their size (_classes_of_size);
+    more are searched by brute force over all n! relabelings (McKay and
+    Piperno's canonical form without the partition refinement), the group
+    being perm^-1 after pi over the pi that reach the form.
+    """
+    leq = space.leq
+    n = len(leq)
+    if n <= DEFAULT_SIZE_CAP:
+        return _classes_of_size(n)[0][leq]
+    form, first, reaching = None, (), []
+    for matrix, pi in _relabelings(leq):
+        if form is None or matrix < form:
+            form, first, reaching = matrix, pi, [pi]
+        elif matrix == form:
+            reaching.append(pi)
+    inverse = tuple(map(first.index, range(n)))
+    group = tuple(sorted(tuple([inverse[v] for v in pi]) for pi in reaching))
+    rep_space = FinPreorder(tuple(f"e{i}" for i in range(n)), form)
+    return Representative(rep_space, group, math.factorial(n) // len(group)), first
+
+
 @functools.cache
 def _classes_of_size(k: int) -> tuple[dict, tuple[Representative, ...]]:
-    """(forms, representatives) of the preorders on k points, by one orbit sweep.
+    """(table, representatives) of the preorders on k points, by one orbit sweep.
 
-    ``forms`` maps the relation of each labeled space on k points to its
-    canonical_relabeling, keyed by the enumerated relation objects.  The
-    sweep walks _preorders_of_size(k) in its row-major order, so the first
-    space of each class is the least relabeling of every member: its own
-    relation is the form, and it is the representative.  Only it is
-    relabeled, by all k! permutations; those that leave it as it is are
-    its group.  Every other member is its relabeling by some pi, and that
-    member's perm is the least rho with pi after rho in the group: the
-    least pi^-1 after sigma over the group's sigma.  The entry waits in
-    ``pending`` under the relabeled matrix until the walk reaches the
-    enumerated space with that relation, which takes it over.
+    ``table`` maps each enumerated relation object on k points to its
+    class_of.  The sweep walks _preorders_of_size(k) in row-major order,
+    so the first space of each class is the least relabeling of every
+    member: its own relation is the form, and it is the representative.
+    Only it is relabeled, by all k! permutations; those that leave it as
+    it is are its group.  Every other member is its relabeling by some
+    pi, and that member's perm is the least rho with pi after rho in the
+    group: the least pi^-1 after sigma over the group's sigma.  The entry
+    waits in ``pending`` under the relabeled matrix until the walk reaches
+    the enumerated space with that relation, which takes it over.
     """
-    perms = list(itertools.permutations(range(k)))
-    interned = {perm: perm for perm in perms}
-    forms: dict = {}
+    interned = {perm: perm for perm in itertools.permutations(range(k))}
+    table: dict = {}
     pending: dict = {}
     classes = []
     for space in _preorders_of_size(k):
         form = space.leq
         entry = pending.pop(form, None)
         if entry is not None:
-            forms[form] = entry
+            table[form] = entry
             continue
-        members = [(_relabeled(form, pi), pi) for pi in perms]
+        members = list(_relabelings(form))
         group = tuple(pi for matrix, pi in members if matrix == form)
-        classes.append(Representative(space, group, len(perms) // len(group)))
+        rep = Representative(space, group, len(members) // len(group))
+        classes.append(rep)
         for matrix, pi in members:
             if matrix not in pending:
                 inverse = tuple(map(pi.index, range(k)))
                 rho = min(tuple([inverse[v] for v in sigma]) for sigma in group)
-                pending[matrix] = (form, interned[rho])
-        forms[form] = pending.pop(form)
-    return forms, tuple(classes)
+                pending[matrix] = (rep, interned[rho])
+        table[form] = pending.pop(form)
+    return table, tuple(classes)
 
 
-def _relabeled(
-    leq: tuple[tuple[bool, ...], ...], perm: tuple[int, ...]
-) -> tuple[tuple[bool, ...], ...]:
-    """The relation with old point perm[x] at index x: entry leq[perm[x]][perm[y]] at (x, y)."""
-    return tuple([tuple([row[y] for y in perm]) for row in map(leq.__getitem__, perm)])
+def _relabelings(leq: tuple[tuple[bool, ...], ...]) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """(matrix, perm) for every permutation perm, in itertools.permutations order.
 
-
-def canonical_relabeling(
-    space: FinPreorder,
-) -> tuple[tuple[tuple[bool, ...], ...], tuple[int, ...]]:
-    """(form, perm): the least relation matrix over all relabelings, and the first that reaches it.
-
-    Relabeling by a permutation perm puts old point perm[x] at index x,
-    so its matrix has entry leq[perm[x]][perm[y]] at (x, y).  ``form`` is
-    the least such matrix in row-major order, ``perm`` the first
-    permutation in itertools.permutations order whose matrix it is.  Two
-    spaces are isomorphic exactly when their forms are equal.  Only the
-    relation is read, never the labels.  A space of at most
-    DEFAULT_SIZE_CAP points reads the table of its size (_classes_of_size);
-    a larger one is searched by brute force over all n! permutations
-    (McKay and Piperno's canonical form without the partition refinement).
+    The matrix is the relation with old point perm[x] at index x: entry
+    leq[perm[x]][perm[y]] at (x, y).
     """
-    leq = space.leq
-    if len(leq) <= DEFAULT_SIZE_CAP:
-        return _classes_of_size(len(leq))[0][leq]
-    form, first = None, ()
     for perm in itertools.permutations(range(len(leq))):
-        matrix = _relabeled(leq, perm)
-        if form is None or matrix < form:
-            form, first = matrix, perm
-    return form, first
+        yield tuple([tuple([row[y] for y in perm]) for row in map(leq.__getitem__, perm)]), perm
 
 
 def automorphisms(space: FinPreorder) -> list[tuple[int, ...]]:
     """Every permutation perm with leq[perm[x]][perm[y]] == leq[x][y] for all x, y.
 
     In itertools.permutations order, so the identity comes first.  Brute
-    force over all n! permutations: perm is kept when relabeling by it
+    force over all n! relabelings: perm is kept when relabeling by it
     leaves the matrix as it is.
     """
     leq = space.leq
-    perms = itertools.permutations(range(len(leq)))
-    return [perm for perm in perms if _relabeled(leq, perm) == leq]
+    return [perm for matrix, perm in _relabelings(leq) if matrix == leq]
 
 
 def are_isomorphic(p: FinPreorder, q: FinPreorder) -> bool:
     """True iff some relabeling carries p onto q (order both ways)."""
-    return len(p) == len(q) and canonical_relabeling(p)[0] == canonical_relabeling(q)[0]
+    return len(p) == len(q) and class_of(p)[0].space == class_of(q)[0].space
 
 
 # The constant spaces: empty, point, discrete pair, Sierpinski, indiscrete

@@ -46,7 +46,7 @@ from liftprop import lifting
 from liftprop.cli import execute_query, run_file
 from liftprop.lifting import HomCache, Universe, fibre_table
 from liftprop.notation import BUILTIN_MAPS, Env, OrthogonalQuery
-from liftprop.preorder import FinPreorder, automorphisms, canonical_relabeling
+from liftprop.preorder import FinPreorder, automorphisms, class_of
 
 
 def test_square_requires_matching_endpoints():
@@ -441,9 +441,9 @@ def test_lifting_is_invariant_under_relabeling(pair):
 
 def relabeling_class(m):
     """m's canonical source and target forms, and m moved onto them."""
-    p_form, a = canonical_relabeling(m.source)
-    q_form, b = canonical_relabeling(m.target)
-    return p_form, q_form, moved(m, a, b).assign
+    p_rep, a = class_of(m.source)
+    q_rep, b = class_of(m.target)
+    return p_rep.space.leq, q_rep.space.leq, moved(m, a, b).assign
 
 
 def orbit(m):
@@ -526,6 +526,10 @@ def relabeled_spaces(draw):
 
 
 ISO_SIERP = relabel(SIERP, (1, 0))
+# A 6-point chain, above DEFAULT_SIZE_CAP, and its relabeling in reverse
+# order: hom(C6, C6) has 462 maps.
+C6 = build_space([f"c{k}" for k in range(6)], [(f"c{k}", f"c{k + 1}") for k in range(5)])
+C6_REVERSED = relabel(C6, (5, 4, 3, 2, 1, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -534,9 +538,11 @@ ISO_SIERP = relabel(SIERP, (1, 0))
 @example([SIERP, SIERP])
 @example([ISO_SIERP, SIERP, ISO_SIERP])
 @example([VEE, TWO])
+@example([PT, C6])
+@example([C6_REVERSED, C6])
 def test_orthogonal_class_on_any_spaces_equals_the_per_map_loop(space_list):
     """Labels out of canonical order, repeated classes, lists without a
-    class's representative, and the empty list."""
+    class's representative, the empty list, and spaces above the cap."""
     cache = HomCache()
     maps = tuple(m for p in space_list for q in space_list for m in cache.hom(p, q))
     universe = Universe(3, tuple(space_list), maps)

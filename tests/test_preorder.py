@@ -36,7 +36,7 @@ from liftprop import (
 )
 from liftprop.lifting import LiftResult, Universe
 from liftprop import preorder
-from liftprop.preorder import are_isomorphic, automorphisms, canonical_relabeling
+from liftprop.preorder import are_isomorphic, automorphisms, class_of
 from liftprop.notation import (
     CheckQuery,
     CountsOutcome,
@@ -415,7 +415,7 @@ def test_enumeration_respects_hard_cap():
 
 def test_canonical_forms_count_isomorphism_classes():
     # Isomorphism classes of preorders on 0..4 points: one canonical form each.
-    forms = {canonical_relabeling(space)[0] for space in enumerate_preorders(4)}
+    forms = {class_of(space)[0].space.leq for space in enumerate_preorders(4)}
     by_size = [0] * 5
     for form in forms:
         by_size[len(form)] += 1
@@ -431,7 +431,8 @@ def test_canonical_relabeling_carries_each_space_onto_its_form():
     """perm reaches form, no relabeling is less, and no earlier permutation
     in itertools.permutations order reaches it."""
     for space in enumerate_preorders(4):
-        form, perm = canonical_relabeling(space)
+        rep, perm = class_of(space)
+        form = rep.space.leq
         relations = [
             (relabeled_relation(space, p), p) for p in itertools.permutations(range(len(space)))
         ]
@@ -457,28 +458,43 @@ def test_canonical_relabeling_carries_each_five_point_space_onto_its_form():
     forms = {r.space.leq for r in preorder.representatives(5)}
     assert len(SIZE_5) == 6942
     for space in SIZE_5:
-        form, perm = canonical_relabeling(space)
+        rep, perm = class_of(space)
+        form = rep.space.leq
         assert sorted(perm) == list(range(5))
         assert relabeled_relation(space, perm) == form
         assert form in forms
 
 
-@given(
-    space=st.sampled_from(SIZE_5),
-    perm=st.permutations(range(5)),
-    labels=st.permutations(["a", "b", "c", "d", "e"]),
-)
-def test_canonical_relabeling_of_relabeled_five_point_spaces_is_brute_force(space, perm, labels):
+@st.composite
+def six_point_spaces(draw):
+    """A preorder on 6 points, closed from a few random generating pairs."""
+    labels = [f"e{k}" for k in range(6)]
+    label = st.sampled_from(labels)
+    return build_space(labels, draw(st.lists(st.tuples(label, label), max_size=8)))
+
+
+@settings(deadline=None)
+@given(space=st.one_of(st.sampled_from(SIZE_5), six_point_spaces()), data=st.data())
+def test_canonical_relabeling_of_relabeled_five_point_spaces_is_brute_force(space, data):
+    """class_of of a random relabeling, with random labels, of a 5-point
+    space read from the domain or a 6-point space above the cap."""
+    n = len(space)
+    perm = data.draw(st.permutations(range(n)))
+    labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
     relabeled = FinPreorder(tuple(labels), relabeled_relation(space, perm))
-    expected = brute_force_canonical_relabeling(relabeled)
-    assert canonical_relabeling(relabeled) == expected
-    assert canonical_relabeling(space)[0] == expected[0]
+    rep, rep_perm = class_of(relabeled)
+    assert relabeled_relation(relabeled, rep_perm) == rep.space.leq
+    assert (rep.space.leq, rep_perm) == brute_force_canonical_relabeling(relabeled)
+    assert rep.group == tuple(automorphisms(rep.space))
+    assert rep.weight == math.factorial(n) // len(rep.group)
+    assert class_of(space)[0].space == rep.space
 
 
 def test_canonical_relabeling_ignores_labels():
     vee = build_space(["r", "m", "l"], [("m", "l"), ("m", "r")])
-    assert canonical_relabeling(vee) == canonical_relabeling(VEE)
-    assert canonical_relabeling(EMPTY) == ((), ())
+    assert class_of(vee) == class_of(VEE)
+    rep, perm = class_of(EMPTY)
+    assert (rep.space.leq, perm) == ((), ())
 
 
 def test_automorphisms_are_the_permutations_preserving_the_relation():
@@ -497,7 +513,7 @@ def test_automorphisms_are_the_permutations_preserving_the_relation():
 
 def representatives(max_size):
     """One space per canonical form on at most max_size points, labels e0, e1, ..."""
-    forms = {canonical_relabeling(space)[0] for space in enumerate_preorders(max_size)}
+    forms = {class_of(space)[0].space.leq for space in enumerate_preorders(max_size)}
     return [FinPreorder(tuple(f"e{x}" for x in range(len(form))), form) for form in sorted(forms)]
 
 
@@ -519,7 +535,7 @@ def test_domain_representatives_match_the_brute_force_classes():
         for r in got:
             assert list(r.group) == automorphisms(r.space)
             assert r.weight == math.factorial(n) // len(r.group)
-            assert canonical_relabeling(r.space) == (r.space.leq, tuple(range(n)))
+            assert class_of(r.space) == (r, tuple(range(n)))
 
 
 def test_domain_class_counts_and_orbit_weights_by_size():
@@ -571,13 +587,47 @@ def permutation_isomorphic(p, q):
     )
 
 
+def chain(n, reverse=False):
+    """The n-point chain e0 < e1 < ..., or e0 > e1 > ... when reversed."""
+    labels = [f"e{k}" for k in range(n)]
+    steps = [(labels[k], labels[k + 1]) for k in range(n - 1)]
+    return build_space(labels, [(b, a) for a, b in steps] if reverse else steps)
+
+
+def relabel_space(space, perm):
+    """The space with old point perm[x] at index x, labels carried along."""
+    return FinPreorder(tuple(space.labels[x] for x in perm), relabeled_relation(space, perm))
+
+
+# Two non-isomorphic 6-point spaces with 16 related pairs each: a 5-point
+# chain with a point beside it, and two minima below two 2-point chains.
+CHAIN_5_AND_POINT = build_space(
+    ["a", "b", "c", "d", "e", "f"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+)
+TWO_UNDER_TWO_CHAINS = build_space(
+    ["a", "b", "c", "d", "e", "f"],
+    [(x, y) for x in "ab" for y in "ce"] + [("c", "d"), ("e", "f")],
+)
+SIX_PERMS = [(5, 4, 3, 2, 1, 0), (1, 0, 2, 3, 4, 5), (3, 5, 0, 2, 4, 1)]
+
+
 def test_canonical_forms_agree_exactly_on_isomorphic_pairs():
+    """Every pair on at most 3 points, pairs of different sizes, and pairs
+    of 6-point spaces above the cap."""
     spaces = enumerate_preorders(3)
-    for p in spaces:
-        for q in spaces:
-            iso = permutation_isomorphic(p, q)
-            assert (canonical_relabeling(p)[0] == canonical_relabeling(q)[0]) == iso
-            assert are_isomorphic(p, q) == iso
+    pairs = [(p, q) for p in spaces for q in spaces]
+    pairs += [(EMPTY, PT), (PT, TWO), (SIERP, VEE), (chain(5), chain(6))]
+    pairs += [(chain(6), chain(6, reverse=True)), (chain(6), CHAIN_5_AND_POINT)]
+    pairs += [(CHAIN_5_AND_POINT, TWO_UNDER_TWO_CHAINS)]
+    for space in (CHAIN_5_AND_POINT, TWO_UNDER_TWO_CHAINS):
+        pairs += [(space, relabel_space(space, perm)) for perm in SIX_PERMS]
+    for p, q in pairs:
+        iso = permutation_isomorphic(p, q)
+        assert (class_of(p)[0].space == class_of(q)[0].space) == iso
+        assert are_isomorphic(p, q) == iso
+    assert are_isomorphic(chain(6), chain(6, reverse=True))
+    assert sum(map(sum, CHAIN_5_AND_POINT.leq)) == sum(map(sum, TWO_UNDER_TWO_CHAINS.leq)) == 16
+    assert not are_isomorphic(CHAIN_5_AND_POINT, TWO_UNDER_TWO_CHAINS)
 
 
 @given(

@@ -24,7 +24,7 @@ from liftprop import (
     verify_paper,
 )
 from liftprop.lifting import HomCache
-from liftprop.preorder import canonical_relabeling
+from liftprop.preorder import class_of
 
 SUITE_ORDER = [
     "surjective",
@@ -115,7 +115,7 @@ def test_map_properties_agree_with_their_oracles_between_size_4_representatives(
     isomorphisms of arrows, so this covers every labeled map on at most 4
     points, where the map suites of verify_paper stop at 3.
     """
-    forms = sorted({canonical_relabeling(space)[0] for space in enumerate_preorders(4)})
+    forms = sorted({class_of(space)[0].space.leq for space in enumerate_preorders(4)})
     reps = [FinPreorder(tuple(f"e{x}" for x in range(len(form))), form) for form in forms]
     cache = HomCache()
     maps = [m for p in reps for q in reps for m in cache.hom(p, q)]
