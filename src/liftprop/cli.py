@@ -45,7 +45,8 @@ from .notation import (
     encode_result,
     parse,
     print_query,
-    print_result,
+    print_result,  # not called here; perfbench calls and wraps cli.print_result
+    result_lines,
     size_refusal,
 )
 from .preorder import enumerate_preorders
@@ -169,7 +170,9 @@ def _emit(outcome: Outcome, machine: bool, out) -> None:
     if machine:
         print(json.dumps(encode_result(outcome), sort_keys=True), file=out)
     else:
-        print(print_result(outcome), file=out)
+        # Line by line, so that a listing never exists as one string.
+        for line in result_lines(outcome):
+            out.write(f"{line}\n")
 
 
 def run_file(path: str, machine: bool = False, out=None) -> int:

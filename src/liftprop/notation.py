@@ -654,26 +654,30 @@ def _map_rows(
         yield source_text, target_text, row
 
 
-def print_result(outcome: Outcome) -> str:
-    """Human-readable result block, starting with the query itself."""
-    lines = [outcome.query]
+def result_lines(outcome: Outcome) -> Iterator[str]:
+    """Lines of the human-readable result block, the query itself first."""
+    yield outcome.query
     if isinstance(outcome, LiftOutcome):
-        lines.append("  HOLDS" if outcome.result.holds else "  FAILS")
+        yield "  HOLDS" if outcome.result.holds else "  FAILS"
         square = outcome.result.counterexample
         if square is not None:
-            lines.append(f"  top:    {_brace(_assignment_items(square.top))}")
-            lines.append(f"  bottom: {_brace(_assignment_items(square.bottom))}")
+            yield f"  top:    {_brace(_assignment_items(square.top))}"
+            yield f"  bottom: {_brace(_assignment_items(square.bottom))}"
     elif isinstance(outcome, MapListOutcome):
-        lines.append(f"  count {len(outcome.maps)}")
+        yield f"  count {len(outcome.maps)}"
         for source, target, row in _map_rows(outcome.maps, "{} |-> {}".format, _brace):
-            lines.append(f"  {source} -> {target} = {row}")
+            yield f"  {source} -> {target} = {row}"
     elif isinstance(outcome, CountsOutcome):
         for size, count in enumerate(outcome.counts):
-            lines.append(f"  size {size}: {count}")
-        lines.append(f"  total {sum(outcome.counts)}")
+            yield f"  size {size}: {count}"
+        yield f"  total {sum(outcome.counts)}"
     else:
         raise ValueError(f"not an outcome: {outcome!r}")
-    return "\n".join(lines)
+
+
+def print_result(outcome: Outcome) -> str:
+    """Human-readable result block: the ``result_lines`` joined by newlines."""
+    return "\n".join(result_lines(outcome))
 
 
 def encode_result(outcome: Outcome) -> dict:

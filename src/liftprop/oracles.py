@@ -93,3 +93,8 @@ def has_induced_topology(f: MonotoneMap) -> bool:
         for y in range(n)
         if f.target.leq[f.assign[x]][f.assign[y]]
     )
+
+
+def is_isomorphism(f: MonotoneMap) -> bool:
+    """Bijective with a monotone inverse: the maps f with f |> f."""
+    return is_surjective(f) and is_injective(f) and has_induced_topology(f)

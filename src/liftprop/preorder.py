@@ -330,18 +330,6 @@ def compose(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(f.source, g.target, tuple(g.assign[v] for v in f.assign))
 
 
-def is_isomorphism(f: MonotoneMap) -> bool:
-    """True iff f is bijective and its inverse is monotone."""
-    n, m = len(f.source), len(f.target)
-    if n != m or len(set(f.assign)) != n:
-        return False
-    for x in range(n):
-        for y in range(n):
-            if f.target.leq[f.assign[x]][f.assign[y]] and not f.source.leq[x][y]:
-                return False
-    return True
-
-
 def to_point(space: FinPreorder) -> MonotoneMap:
     """The unique map into the one-point space."""
     return MonotoneMap(space, PT, (0,) * len(space))

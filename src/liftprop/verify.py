@@ -31,10 +31,11 @@ from .oracles import (
     is_connected,
     is_hausdorff,
     is_injective,
+    is_isomorphism,
     is_surjective,
     pi0_injective,
 )
-from .preorder import DEFAULT_SIZE_CAP, MonotoneMap, enumerate_preorders, is_isomorphism
+from .preorder import DEFAULT_SIZE_CAP, MonotoneMap, enumerate_preorders
 
 MAP_SUITE_CAP = 3
 STRUCTURE_SIZE = 2

@@ -21,7 +21,6 @@ from liftprop import (
     TWO,
     VEE,
     HomCache,
-    Universe,
     characterize,
     codiagonal,
     diagonal,
@@ -33,12 +32,10 @@ from liftprop import (
     is_T1,
     is_connected,
     is_epi_cancellation,
-    is_epi_upto,
     is_hausdorff,
     is_injective,
     is_isomorphism,
     is_mono_cancellation,
-    is_mono_upto,
     is_surjective,
     lifting_check,
     orthogonal_class,
@@ -46,10 +43,10 @@ from liftprop import (
     pi0_injective,
     print_query,
     print_space,
-    self_lifting_scan,
     to_point,
 )
 from liftprop.cli import run_file
+from liftprop.lifting import Universe, is_epi_upto, is_mono_upto, self_lifting_scan
 from liftprop.notation import SpaceDecl
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.lift"))

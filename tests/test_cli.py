@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftprop import ValidationError, elaborate, parse
-from liftprop.cli import execute_query, main
+from liftprop.cli import _emit, execute_query, main
 from liftprop.lifting import PROPERTY_IDS, SPACE_PROPERTIES
 from liftprop.notation import (
     BUILTIN_MAPS,
@@ -26,6 +26,7 @@ from liftprop.notation import (
     LiftQuery,
     MonoQuery,
     OrthogonalQuery,
+    print_result,
 )
 
 
@@ -205,6 +206,49 @@ check T0 C
 hom C PT
 enumerate 2
 """
+
+
+class RecordingWriter:
+    """Stands in for stdout and keeps each write call's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def emitted_outcomes():
+    corpus = sorted(Path(__file__).parent.glob("corpus/*.lift"))
+    for path in corpus:
+        program = parse(path.read_text(encoding="utf-8"))
+        env = elaborate(program)
+        for query in program.queries:
+            yield execute_query(query, env)
+    env = elaborate(parse(""))
+    for query in (HomQuery("PT", "EMPTY"), EnumerateQuery(2), LiftQuery("CODIAG", "CODIAG")):
+        yield execute_query(query, env)
+
+
+def test_plain_emit_writes_print_result_and_a_newline():
+    outcomes = list(emitted_outcomes())
+    assert any(getattr(o, "maps", None) == () for o in outcomes)
+    assert any(hasattr(o, "counts") for o in outcomes)
+    assert any(getattr(getattr(o, "result", None), "counterexample", None) for o in outcomes)
+    for outcome in outcomes:
+        out = io.StringIO()
+        _emit(outcome, False, out)
+        assert out.getvalue() == print_result(outcome) + "\n"
+
+
+def test_plain_listing_is_written_in_pieces():
+    outcome = execute_query(HomQuery("SIERP", "SIERP"), elaborate(parse("")))
+    out = RecordingWriter()
+    _emit(outcome, False, out)
+    assert len(outcome.maps) == 3
+    # One string for the whole block, even split off its newline, fails here.
+    assert all(text.count("\n") <= 1 for text in out.writes)
+    assert "".join(out.writes) == print_result(outcome) + "\n"
 
 
 def test_run_executes_queries_in_order(tmp_path, capsys):

@@ -30,21 +30,25 @@ from liftprop import (
     hom_enumerate,
     identity,
     is_epi_cancellation,
-    is_epi_upto,
     is_injective,
     is_isomorphism,
     is_mono_cancellation,
-    is_mono_upto,
     is_surjective,
     lifting_check,
     orthogonal_class,
     product,
-    self_lifting_scan,
     to_point,
 )
 from liftprop import lifting
 from liftprop.cli import execute_query, run_file
-from liftprop.lifting import HomCache, Universe, fibre_table
+from liftprop.lifting import (
+    HomCache,
+    Universe,
+    fibre_table,
+    is_epi_upto,
+    is_mono_upto,
+    self_lifting_scan,
+)
 from liftprop.notation import BUILTIN_MAPS, Env, OrthogonalQuery
 from liftprop.preorder import FinPreorder, automorphisms, class_of
 
@@ -592,6 +596,23 @@ def test_self_lifting_scan_finds_exactly_the_isomorphisms():
     scanned = self_lifting_scan(universe, cache)
     assert scanned == [f for f in universe.maps if is_isomorphism(f)]
     assert len(scanned) == 10
+
+
+def test_self_lifting_is_surjective_injective_and_induced_up_to_size_three():
+    # f |> f exactly when EMPTY_TO_PT |> f, CODIAG |> f and f |> SIERP_TO_PT.
+    cache = HomCache()
+    maps = Universe.build(3, cache).maps
+    assert len(maps) == 11_345
+    holding = 0
+    for f in maps:
+        three = (
+            lifting_check(EMPTY_TO_PT, f, cache).holds,
+            lifting_check(CODIAG, f, cache).holds,
+            lifting_check(f, SIERP_TO_PT, cache).holds,
+        )
+        assert lifting_check(f, f, cache).holds == all(three), f
+        holding += all(three)
+    assert holding == 184
 
 
 def test_lifting_is_stable_under_composition_on_the_right():

@@ -21,6 +21,7 @@ from liftprop import (
     is_connected,
     is_hausdorff,
     is_injective,
+    is_isomorphism,
     is_surjective,
     pi0_injective,
     pi0_map,
@@ -36,6 +37,25 @@ def test_surjective_and_injective_read_assignments():
     assert is_injective(include) and not is_surjective(include)
     assert is_surjective(to_point(EMPTY)) is False
     assert is_injective(MonotoneMap(EMPTY, EMPTY, ()))
+
+
+def bijective_with_monotone_inverse(f):
+    """The definition is_isomorphism had before it read the three oracles."""
+    n, m = len(f.source), len(f.target)
+    if n != m or len(set(f.assign)) != n:
+        return False
+    for x in range(n):
+        for y in range(n):
+            if f.target.leq[f.assign[x]][f.assign[y]] and not f.source.leq[x][y]:
+                return False
+    return True
+
+
+def test_is_isomorphism_keeps_its_definition_up_to_size_three():
+    maps = Universe.build(3).maps
+    assert len(maps) == 11_345
+    assert [is_isomorphism(f) for f in maps] == [bijective_with_monotone_inverse(f) for f in maps]
+    assert sum(map(is_isomorphism, maps)) == 184
 
 
 def test_pi0_counts_zigzag_components():
