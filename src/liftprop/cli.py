@@ -126,10 +126,10 @@ def execute_query(query: Query, env: Env) -> Outcome:
     Every name and size is checked here, before any enumeration, so a
     query naming a space, map or property not in scope, or with a size
     outside SIZE_CAPS, is refused with a ValidationError.  Queries share
-    the per-size domain of spaces, which is immutable: the labeled
-    preorders and the class_of of each, each size built once per process
-    on first use.  Hom-sets stay per query: every query gets a fresh
-    HomCache.
+    the labeled preorders of each size, enumerated once per process on
+    first use, and the table of class_of, which enters each class the
+    first time it sees it; no entry ever changes.  Hom-sets stay per
+    query: every query gets a fresh HomCache.
     """
     cache = HomCache()
     text = print_query(query)

@@ -11,7 +11,7 @@ self-lifting scan.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from operator import itemgetter
 
 from ._value import Value
@@ -26,6 +26,7 @@ from .preorder import (
     VEE,
     FinPreorder,
     MonotoneMap,
+    _first_of_each_class,
     class_of,
     codiagonal,
     diagonal,
@@ -307,19 +308,6 @@ class Universe(Value):
         return cls(max_size, spaces, maps)
 
 
-def _first_of_each_class(spaces: Iterable[FinPreorder]) -> Iterator[FinPreorder]:
-    """The spaces whose isomorphism class no earlier space has, in the order given.
-
-    Each class is read from class_of and keyed on its space.
-    """
-    seen = set()
-    for z in spaces:
-        rep = class_of(z)[0].space
-        if rep not in seen:
-            seen.add(rep)
-            yield z
-
-
 def mono_lift_result(
     f: MonotoneMap, spaces: Iterable[FinPreorder], cache: HomCache | None = None
 ) -> LiftResult:
@@ -427,8 +415,7 @@ def orthogonal_class(
     verdict is still unknown is decided; its verdict is then given to its
     whole Aut(P0) x Aut(Q0) orbit.  Each group holds the inverse of each
     member, so the orbit is also every tau after a after sigma, which is
-    how it is built.  When both groups are trivial, every orbit is one
-    map and none is built.
+    how it is built; when both groups are trivial, it is the map itself.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -446,7 +433,6 @@ def orthogonal_class(
             kept = holding.get((p_rep, q_rep))
             if kept is None:
                 kept = holding[p_rep, q_rep] = []
-                orbits = len(p_group) > 1 or len(q_group) > 1
                 verdicts: dict[tuple[int, ...], bool] = {}
                 for m in cache.hom(p_rep, q_rep):
                     a = m.assign
@@ -454,10 +440,9 @@ def orthogonal_class(
                     if holds is None:
                         pairs = ((t, m) if right else (m, t) for t in tests)
                         holds = _lift_all(pairs, cache).holds
-                        if orbits:
-                            for sigma in p_group:
-                                for tau in q_group:
-                                    verdicts[tuple([tau[a[x]] for x in sigma])] = holds
+                        for sigma in p_group:
+                            for tau in q_group:
+                                verdicts[tuple([tau[a[x]] for x in sigma])] = holds
                     if holds:
                         kept.append(a)
             moved = sorted(tuple([q_perm[a0[x]] for x in p_inverse]) for a0 in kept)

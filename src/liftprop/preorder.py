@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._value import Value
 
@@ -73,6 +73,10 @@ class FinPreorder(Value):
         _set_order_masks(self, None)
         _set_components(self, None)
         _set_hash(self, None)
+        # Tuples only: a list would pass the other checks and then break
+        # equality and hashing.
+        if not isinstance(labels, tuple):
+            raise ValueError(f"labels must be a tuple, not {type(labels).__name__}")
         n = len(labels)
         if len(set(labels)) != n:
             dup = next(a for i, a in enumerate(labels) if a in labels[:i])
@@ -80,8 +84,10 @@ class FinPreorder(Value):
         for a in labels:
             if not _LABEL_RE.match(a):
                 raise ValueError(f"invalid label {a!r}: labels must match [A-Za-z0-9_]+")
-        if len(leq) != n or any(len(row) != n for row in leq):
-            raise ValueError(f"relation must be {n}x{n}")
+        if not isinstance(leq, tuple) or len(leq) != n or any(
+            not isinstance(row, tuple) or len(row) != n for row in leq
+        ):
+            raise ValueError(f"relation must be {n}x{n}, a tuple of row tuples")
         for x in range(n):
             if not leq[x][x]:
                 raise ValueError(f"relation not reflexive at {labels[x]!r}")
@@ -252,6 +258,8 @@ class MonotoneMap(Value):
     def __post_init__(self) -> None:
         source, target, assign = self.source, self.target, self.assign
         n, m = len(source.labels), len(target.labels)
+        if not isinstance(assign, tuple):
+            raise ValueError(f"assignment must be a tuple, not {type(assign).__name__}")
         if len(assign) != n:
             raise ValueError(f"assignment has {len(assign)} entries, source has {n}")
         for v in assign:
@@ -493,10 +501,11 @@ def _preorders_of_size(k: int) -> tuple[FinPreorder, ...]:
     row p is the mask of the rows x may take beside it.  A row x may not
     when p <= x and row x is not inside row p, or x <= p and row p is not
     inside row x; that every pair agrees is transitivity.  Every matrix is
-    built from the same 2^k row tuples.
+    built from the same 2^k row tuples, which class_of's table then shares.
     """
     labels = tuple(f"e{i}" for i in range(k))
     row_of = {row_mask(bits): bits for bits in itertools.product((False, True), repeat=k)}
+    _ROWS.update((bits, bits) for bits in row_of.values())
     rows = list(row_of)
     pairs = [(p, x) for x in range(k) for p in range(x)]
     links = [[(p, t) for t, (p, y) in enumerate(pairs) if y == x] for x in range(k)]
@@ -521,8 +530,7 @@ class Representative(Value):
     is the class's canonical form, ``group`` its automorphisms in
     itertools.permutations order (the identity first), and ``weight``
     the number n!/|group| of labeled spaces on n points in the class.
-    class_of gives the class of a space of any size; above
-    DEFAULT_SIZE_CAP points it builds a new Representative on each call.
+    class_of gives the class of a space of any size.
     """
 
     __slots__ = ("space", "group", "weight")
@@ -531,14 +539,39 @@ class Representative(Value):
     weight: int
 
 
+@functools.cache
 def representatives(n: int) -> tuple[Representative, ...]:
     """One Representative per isomorphism class of preorders on exactly n points.
 
-    In canonical-form order, read from the domain _classes_of_size builds
-    once per process.  Raises as enumerate_preorders does.
+    In canonical-form order: the class_of of the first space of each class
+    of _preorders_of_size(n), which enumerates in row-major order, so
+    that space is its class's form.  Raises as enumerate_preorders does.
     """
     _check_size_bound(n)
-    return _classes_of_size(n)[1]
+    return tuple(class_of(z)[0] for z in _first_of_each_class(_preorders_of_size(n)))
+
+
+def _first_of_each_class(spaces: Iterable[FinPreorder]) -> Iterator[FinPreorder]:
+    """The spaces whose isomorphism class no earlier space has, in the order given.
+
+    Each class is read from class_of and keyed on its space.
+    """
+    seen = set()
+    for z in spaces:
+        rep = class_of(z)[0].space
+        if rep not in seen:
+            seen.add(rep)
+            yield z
+
+
+# class_of's table, from each relation it has classified to its (rep, perm),
+# and the row tuples and permutations its keys and entries share.  The
+# enumerated relations' rows are entered too, so that a lookup compares
+# rows by identity.  Rows and permutations are interned apart:
+# (1, 0) == (True, False).
+_CLASSES: dict = {}
+_ROWS: dict = {}
+_PERMS: dict = {}
 
 
 def class_of(space: FinPreorder) -> tuple[Representative, tuple[int, ...]]:
@@ -547,64 +580,45 @@ def class_of(space: FinPreorder) -> tuple[Representative, tuple[int, ...]]:
     rep.space's relation, the canonical form, is the least matrix over the
     space's _relabelings in row-major order, and ``perm`` the first
     permutation reaching it.  Two spaces are isomorphic exactly when their
-    classes have equal spaces; labels are never read.  At most
-    DEFAULT_SIZE_CAP points read the table of their size (_classes_of_size);
-    more are searched by brute force over all n! relabelings (McKay and
-    Piperno's canonical form without the partition refinement), the group
-    being perm^-1 after pi over the pi that reach the form.
+    classes have equal spaces; labels are never read.
+
+    A relation not classified before is searched by brute force over all
+    n! relabelings (McKay and Piperno's canonical form without the
+    partition refinement), the group being perm^-1 after rho over the
+    rho that reach the form.  At most DEFAULT_SIZE_CAP points the whole
+    class is entered in the table, at most 5! relabelings: the member
+    reached by pi gets the least pi^-1 after rho.  Above the cap only
+    the relation asked about is entered, since its class may hold n!
+    matrices, and the relabelings are never held together.
     """
     leq = space.leq
+    entry = _CLASSES.get(leq)
+    if entry is not None:
+        return entry
     n = len(leq)
+    relabelings = _relabelings(leq)
     if n <= DEFAULT_SIZE_CAP:
-        return _classes_of_size(n)[0][leq]
-    form, first, reaching = None, (), []
-    for matrix, pi in _relabelings(leq):
+        relabelings = members = list(relabelings)
+    else:
+        members = [(leq, tuple(range(n)))]
+    form, reaching = None, []
+    for matrix, rho in relabelings:
         if form is None or matrix < form:
-            form, first, reaching = matrix, pi, [pi]
+            form, reaching = matrix, [rho]
         elif matrix == form:
-            reaching.append(pi)
-    inverse = tuple(map(first.index, range(n)))
-    group = tuple(sorted(tuple([inverse[v] for v in pi]) for pi in reaching))
+            reaching.append(rho)
+    inverse = tuple(map(reaching[0].index, range(n)))
+    group = tuple(sorted(tuple([inverse[v] for v in rho]) for rho in reaching))
+    form = tuple([_ROWS.setdefault(row, row) for row in form])
     rep_space = FinPreorder(tuple(f"e{i}" for i in range(n)), form)
-    return Representative(rep_space, group, math.factorial(n) // len(group)), first
-
-
-@functools.cache
-def _classes_of_size(k: int) -> tuple[dict, tuple[Representative, ...]]:
-    """(table, representatives) of the preorders on k points, by one orbit sweep.
-
-    ``table`` maps each enumerated relation object on k points to its
-    class_of.  The sweep walks _preorders_of_size(k) in row-major order,
-    so the first space of each class is the least relabeling of every
-    member: its own relation is the form, and it is the representative.
-    Only it is relabeled, by all k! permutations; those that leave it as
-    it is are its group.  Every other member is its relabeling by some
-    pi, and that member's perm is the least rho with pi after rho in the
-    group: the least pi^-1 after sigma over the group's sigma.  The entry
-    waits in ``pending`` under the relabeled matrix until the walk reaches
-    the enumerated space with that relation, which takes it over.
-    """
-    interned = {perm: perm for perm in itertools.permutations(range(k))}
-    table: dict = {}
-    pending: dict = {}
-    classes = []
-    for space in _preorders_of_size(k):
-        form = space.leq
-        entry = pending.pop(form, None)
-        if entry is not None:
-            table[form] = entry
-            continue
-        members = list(_relabelings(form))
-        group = tuple(pi for matrix, pi in members if matrix == form)
-        rep = Representative(space, group, len(members) // len(group))
-        classes.append(rep)
-        for matrix, pi in members:
-            if matrix not in pending:
-                inverse = tuple(map(pi.index, range(k)))
-                rho = min(tuple([inverse[v] for v in sigma]) for sigma in group)
-                pending[matrix] = (rep, interned[rho])
-        table[form] = pending.pop(form)
-    return table, tuple(classes)
+    rep = Representative(rep_space, group, math.factorial(n) // len(group))
+    for matrix, pi in members:
+        if matrix not in _CLASSES:
+            inverse = tuple(map(pi.index, range(n)))
+            perm = min(tuple([inverse[v] for v in rho]) for rho in reaching)
+            matrix = tuple([_ROWS.setdefault(row, row) for row in matrix])
+            _CLASSES[matrix] = (rep, _PERMS.setdefault(perm, perm))
+    return _CLASSES[leq]
 
 
 def _relabelings(leq: tuple[tuple[bool, ...], ...]) -> Iterator[tuple[tuple, tuple[int, ...]]]:

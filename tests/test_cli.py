@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftprop import ValidationError, elaborate, parse
+from liftprop import ValidationError, elaborate, notation, parse, verify
+from liftprop._value import Value
 from liftprop.cli import _emit, execute_query, main
 from liftprop.lifting import PROPERTY_IDS, SPACE_PROPERTIES
 from liftprop.notation import (
@@ -192,6 +193,17 @@ def test_execute_query_refuses_unknown_names(monkeypatch, query, message):
     assert info.value.message.startswith(message)
 
 
+def test_execute_query_refuses_a_node_it_has_no_branch_for(monkeypatch):
+    """A query kind the printer knows but the executor does not is refused."""
+
+    class Unknown(Value):
+        __slots__ = ("name",)
+
+    monkeypatch.setitem(notation._QUERY_TEXT, Unknown, lambda q: f"unknown {q.name}")
+    with pytest.raises(ValueError, match=r"^not a query node: .*Unknown\(name='x'\)$"):
+        execute_query(Unknown("x"), elaborate(parse("")))
+
+
 def program(tmp_path, text):
     path = tmp_path / "program.lift"
     path.write_text(text, encoding="utf-8")
@@ -349,6 +361,30 @@ def test_verify_paper_machine(capsys):
     assert len(records) == 12
     assert all(r["mismatches"] == 0 for r in records)
     assert all(r["first_mismatch"] is None for r in records)
+
+
+def test_verify_paper_reports_a_mismatch_and_exits_two(monkeypatch, capsys):
+    """A wrong oracle makes its suite fail: counted, described, and exit 2.
+
+    At size 1 the only map without a dense image is the one from the empty
+    space into the point, so a dense oracle that always holds disagrees
+    with the lifting reading there and nowhere else.
+    """
+    monkeypatch.setattr(verify, "has_dense_image", lambda f: True)
+    described = "MonotoneMap({}) from FinPreorder([]; discrete) to FinPreorder([e0]; discrete)"
+    reports = {r.suite: r for r in verify.verify_paper(1)}
+    assert reports["dense"] == verify.SuiteReport("dense", 3, 1, described)
+    assert [name for name, r in reports.items() if r.mismatches] == ["dense"]
+    assert run_cli("verify-paper", "--max-size", "1") == 2
+    captured = capsys.readouterr()
+    assert ["dense", "3", "1"] in [line.split() for line in captured.out.splitlines()]
+    assert captured.out.endswith("\n1 suite(s) failed\n")
+    assert captured.err == f"dense: first mismatch {described}\n"
+    assert run_cli("verify-paper", "--max-size", "1", "--machine") == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r for r in records if r["mismatches"]] == [
+        {"format": 1, "suite": "dense", "instances": 3, "mismatches": 1, "first_mismatch": described}
+    ]
 
 
 GOLDEN = Path(__file__).parent / "golden"

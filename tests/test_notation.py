@@ -3,6 +3,7 @@
 import itertools
 import json
 import string
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,7 @@ from liftprop.notation import (
     _map_rows,
     _space_items,
     _tokenize,
+    result_lines,
 )
 
 
@@ -140,6 +142,10 @@ def test_declaration_name_errors():
     expect_error("space PT = { a }", "built-in", 1, 7)
     expect_error("map CODIAG : PT -> PT = { pt |-> pt }", "built-in", 1, 5)
     expect_error("space S = { a }\nspace S = { b }", "already declared", 2, 7)
+    expect_error(
+        "map f : PT -> PT = { pt |-> pt }\nmap f : PT -> PT = { pt |-> pt }",
+        "map 'f' already declared", 2, 5,
+    )
 
 
 def test_map_assignment_errors():
@@ -385,6 +391,17 @@ def test_query_round_trip_all_kinds():
         query = parse(text).queries[0]
         assert print_query(query) == text
         assert parse(print_query(query)).queries[0] == query
+
+
+def test_printers_refuse_what_is_not_a_node():
+    """A query printer refuses an outcome, an outcome printer a query's stand-in."""
+    outcome = CountsOutcome("enumerate 0", (1,))
+    with pytest.raises(ValueError, match=r"^not a query node: CountsOutcome\("):
+        print_query(outcome)
+    stand_in = types.SimpleNamespace(query="enumerate 0")
+    for render in (lambda x: list(result_lines(x)), encode_result):
+        with pytest.raises(ValueError, match=r"^not an outcome: namespace\(query='enumerate 0'\)$"):
+            render(stand_in)
 
 
 def test_print_result_shapes():

@@ -4,9 +4,14 @@ Every enumeration result is cross-checked against a naive brute-force
 oracle implemented here, independent of the library's search code.
 """
 
+import ast
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +128,14 @@ def test_build_space_rejects_duplicate_label():
 def test_build_space_rejects_unknown_label_in_pair():
     with pytest.raises(ValueError, match="unknown label"):
         build_space(["a"], [("a", "b")])
+    with pytest.raises(ValueError, match=r"^unknown label 'b' in pair \('b', 'a'\)$"):
+        build_space(["a"], [("b", "a")])
+
+
+def test_index_of_an_unknown_label_is_refused():
+    assert SIERP.index("s") == 1
+    with pytest.raises(ValueError, match="^unknown label 'x'$"):
+        SIERP.index("x")
 
 
 def test_empty_space_is_legal():
@@ -144,6 +157,17 @@ def test_finpreorder_rejects_bad_relations():
         )
     with pytest.raises(ValueError, match="3x3"):
         FinPreorder(("a", "b", "c"), ((True,),))
+
+
+def test_list_valued_fields_are_refused_naming_the_field():
+    """A list would pass the other checks and then break equality and hashing."""
+    with pytest.raises(ValueError, match="^labels must be a tuple, not list$"):
+        FinPreorder(["a", "b"], ((True, True), (False, True)))
+    for leq in ([[True, True], [False, True]], ((True, True), [False, True])):
+        with pytest.raises(ValueError, match="^relation must be 2x2, a tuple of row tuples$"):
+            FinPreorder(("a", "b"), leq)
+    with pytest.raises(ValueError, match="^assignment must be a tuple, not list$"):
+        MonotoneMap(SIERP, PT, [0, 0])
 
 
 def test_finpreorder_rejects_unprintable_label():
@@ -311,6 +335,12 @@ def test_product_of_sierpinski_squares():
     assert not space.leq[1][2] and not space.leq[2][1]
     assert proj1.assign == (0, 0, 1, 1)
     assert proj2.assign == (0, 1, 0, 1)
+
+
+def test_product_labels_fall_back_to_indices_when_pairs_collide():
+    # x_y_z is both (x, y_z) and (x_y, z).
+    space, _ = product(build_space(["x", "x_y"], []), build_space(["y_z", "z"], []))
+    assert space.labels == ("x0_0", "x0_1", "x1_0", "x1_1")
 
 
 def test_product_order_is_componentwise():
@@ -550,6 +580,72 @@ def test_domain_class_counts_and_orbit_weights_by_size():
         preorder.representatives(6)
     with pytest.raises(ValueError, match="nonnegative"):
         preorder.representatives(-1)
+
+
+def run_fresh(code, *args):
+    """The standard output of the code run in a new interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+CLASSIFY_IN_ORDER = """
+import random, sys
+from liftprop.preorder import class_of, enumerate_preorders
+spaces = enumerate_preorders(4)
+if sys.argv[1] == "reversed":
+    spaces.reverse()
+else:
+    random.Random(sys.argv[1]).shuffle(spaces)
+for space in spaces:
+    rep, perm = class_of(space)
+    print(repr((space.leq, rep.space.leq, rep.group, rep.weight, perm)))
+"""
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled-1", "shuffled-2"])
+def test_classes_do_not_depend_on_the_order_spaces_are_first_seen(order):
+    """Each class is entered by the first member asked about, in a fresh process.
+
+    Every member's entry equals the brute force: the least relabeling, its
+    automorphisms in permutation order, n!/|Aut|, and the first
+    permutation reaching the form, whose entries are ints, not bools.
+    """
+    lines = run_fresh(CLASSIFY_IN_ORDER, order).splitlines()
+    assert len(lines) == 390
+    for line in lines:
+        leq, form, group, weight, perm = ast.literal_eval(line)
+        n = len(leq)
+        space = FinPreorder(tuple(f"e{x}" for x in range(n)), leq)
+        points = itertools.permutations(range(n))
+        rep = FinPreorder(space.labels, form)
+        want_group = tuple(p for p in points if relabeled_relation(rep, p) == form)
+        assert (form, perm) == brute_force_canonical_relabeling(space)
+        assert group == want_group
+        assert weight == math.factorial(n) // len(group)
+        assert all(type(v) is int for v in perm + sum(group, ()))
+
+
+def test_class_of_above_the_cap_enters_the_relation_asked_about():
+    """A second space with the same relation gets the very same entry."""
+    labels = [f"c{i}" for i in range(7)]
+    chain = build_space(labels, [(labels[i], labels[i + 1]) for i in range(6)])
+    entry = class_of(chain)
+    assert entry[1] == (6, 5, 4, 3, 2, 1, 0)
+    assert entry[0].group == (tuple(range(7)),) and entry[0].weight == 5040
+    assert class_of(FinPreorder(tuple(f"d{i}" for i in range(7)), chain.leq)) is entry
+
+
+def test_are_isomorphic_enumerates_nothing():
+    code = """
+from liftprop.preorder import _preorders_of_size, are_isomorphic, build_space
+up = build_space(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+down = build_space(list("abcde"), [("e", "d"), ("d", "c"), ("c", "b"), ("b", "a")])
+print(are_isomorphic(up, down), _preorders_of_size.cache_info().currsize)
+"""
+    assert run_fresh(code) == "True 0\n"
 
 
 def orbit_count(p, q):
@@ -830,6 +926,15 @@ def test_spaces_maps_and_squares_are_slotted_and_frozen():
     # An environment's dicts are filled in place, so it has no hash.
     with pytest.raises(TypeError, match="unhashable"):
         hash(Env({}, {}))
+
+
+def test_values_survive_pickle_and_deepcopy():
+    f = to_point(SIERP)
+    square = Square(f, identity(PT), f, identity(PT))
+    for value in (VEE, f, square, LiftResult(False, square), LiftResult(True, None)):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
 
 
 def test_value_equality_and_hash_respect_class_and_every_field():
