@@ -186,9 +186,13 @@ def run_file(path: str, machine: bool = False, out=None) -> int:
 
 
 def _read_program(path: str) -> str:
-    """The text of a program file; a file that is not UTF-8 is bad input."""
+    """The text of a program file, less one leading byte-order mark; a file
+    that is not UTF-8 is bad input.
+
+    Not "utf-8-sig", whose error offsets would count from after the mark.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise ValidationError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
 

@@ -631,17 +631,6 @@ def _relabelings(leq: tuple[tuple[bool, ...], ...]) -> Iterator[tuple[tuple, tup
         yield tuple([tuple([row[y] for y in perm]) for row in map(leq.__getitem__, perm)]), perm
 
 
-def automorphisms(space: FinPreorder) -> list[tuple[int, ...]]:
-    """Every permutation perm with leq[perm[x]][perm[y]] == leq[x][y] for all x, y.
-
-    In itertools.permutations order, so the identity comes first.  Brute
-    force over all n! relabelings: perm is kept when relabeling by it
-    leaves the matrix as it is.
-    """
-    leq = space.leq
-    return [perm for matrix, perm in _relabelings(leq) if matrix == leq]
-
-
 def are_isomorphic(p: FinPreorder, q: FinPreorder) -> bool:
     """True iff some relabeling carries p onto q (order both ways)."""
     return len(p) == len(q) and class_of(p)[0].space == class_of(q)[0].space

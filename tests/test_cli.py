@@ -30,6 +30,8 @@ from liftprop.notation import (
     print_result,
 )
 
+import reference
+
 
 def run_cli(*argv):
     # argparse reports usage errors through SystemExit; fold them in.
@@ -333,6 +335,24 @@ def test_program_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, argv):
     assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte at byte 27)\n"
 
 
+@pytest.mark.parametrize("argv", [("run",), ("lift", "EMPTY_TO_PT", "inc", "--input")])
+def test_program_file_may_start_with_a_byte_order_mark(tmp_path, capsys, argv):
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "demo.lift").write_bytes(mark + DEMO.encode("utf-8"))
+        assert run_cli(*argv, str(tmp_path / "demo.lift")) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1] and runs[0].out
+
+
+def test_bad_byte_after_a_byte_order_mark_is_located_from_the_start_of_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.lift"
+    path.write_bytes(b"\xef\xbb\xbflift CODIAG |> CODIAG\n# caf\xff\n")
+    assert run_cli("run", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 30)\n"
+
+
 def test_input_declarations_extend_the_builtins(tmp_path, capsys):
     path = program(
         tmp_path,
@@ -468,16 +488,6 @@ def test_random_token_streams_exit_0_or_1_with_one_error_line(tokens):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
-def closure(labels, generators):
-    """The pairs x <= y of the preorder the generators span, by brute force."""
-    leq = {(x, x) for x in labels} | set(generators)
-    while True:
-        more = {(x, z) for x, y in leq for w, z in leq if y == w} - leq
-        if not more:
-            return leq
-        leq |= more
-
-
 @st.composite
 def well_formed_programs(draw):
     """(text, names and positions of the maps that are not monotone, query texts)."""
@@ -506,7 +516,7 @@ def well_formed_programs(draw):
         put("}")
         pairs = [(x, y) for x, _, y in generators]
         pairs += [(y, x) for x, op, y in generators if op == "<>"]
-        spaces[f"S{k}"] = (labels, closure(labels, pairs))
+        spaces[f"S{k}"] = (labels, reference.closure(labels, pairs))
     maps, broken = [], []
     for k in range(draw(st.integers(0, 3))):
         source, target = (draw(st.sampled_from(sorted(spaces))) for _ in range(2))

@@ -11,27 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from liftprop import elaborate, encode_result, parse, print_query, print_space
+from liftprop import elaborate, encode_result, parse, print_space
 from liftprop.cli import execute_query, run_file
-from liftprop.notation import BUILTIN_SPACES, SpaceDecl
+from liftprop.notation import BUILTIN_SPACES
+
+import reference
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.lift"))
 EXPECTED = Path(__file__).parent / "corpus" / "expected"
-
-
-def reprint_program(program, env):
-    """Render a parsed program back to canonical text."""
-    lines = []
-    for decl in program.declarations:
-        if isinstance(decl, SpaceDecl):
-            lines.append(print_space(env.spaces[decl.name], decl.name))
-        else:
-            f = env.maps[decl.name]
-            items = ", ".join(f"{a} |-> {b}" for a, b in f.assignment_by_label())
-            body = f"{{ {items} }}" if items else "{ }"
-            lines.append(f"map {decl.name} : {decl.source} -> {decl.target} = {body}")
-    lines.extend(print_query(query) for query in program.queries)
-    return "\n".join(lines) + "\n"
 
 
 def test_corpus_is_large_enough():
@@ -64,13 +51,13 @@ def test_corpus_output_matches_expected_bytes(path, machine):
 def test_corpus_program_round_trips(path):
     program = parse(path.read_text(encoding="utf-8"))
     env = elaborate(program)
-    text = reprint_program(program, env)
+    text = reference.reprint_program(program, env)
     reparsed = parse(text)
     assert reparsed.queries == program.queries
     again = elaborate(reparsed)
     assert again.spaces == env.spaces
     assert again.maps == env.maps
-    assert reprint_program(reparsed, again) == text
+    assert reference.reprint_program(reparsed, again) == text
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

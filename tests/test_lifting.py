@@ -50,7 +50,9 @@ from liftprop.lifting import (
     self_lifting_scan,
 )
 from liftprop.notation import BUILTIN_MAPS, Env, OrthogonalQuery
-from liftprop.preorder import FinPreorder, automorphisms, class_of
+from liftprop.preorder import class_of
+
+import reference
 
 
 def test_square_requires_matching_endpoints():
@@ -109,26 +111,6 @@ def test_find_diagonal_reports_conflicts():
     assert find_diagonal(blocked) is None
 
 
-def brute_force_diagonal(square):
-    """Lex-least diagonal of the square by trying every assignment B -> X."""
-    f, g, i, j = square.left, square.right, square.top, square.bottom
-    mid_src, mid_tgt = f.target, g.source
-    n = len(mid_src)
-    for d in itertools.product(range(len(mid_tgt)), repeat=n):
-        if (
-            all(d[f.assign[a]] == i.assign[a] for a in range(len(f.source)))
-            and all(g.assign[d[b]] == j.assign[b] for b in range(n))
-            and all(
-                mid_tgt.leq[d[b1]][d[b2]]
-                for b1 in range(n)
-                for b2 in range(n)
-                if mid_src.leq[b1][b2]
-            )
-        ):
-            return d
-    return None
-
-
 def test_find_diagonal_matches_brute_force_on_every_small_square():
     small = enumerate_preorders(2)
     homs = {(p, q): hom_enumerate(p, q) for p in small for q in small}
@@ -139,7 +121,7 @@ def test_find_diagonal_matches_brute_force_on_every_small_square():
                 continue
             square = Square(f, g, i, j)
             d = find_diagonal(square)
-            assert (None if d is None else d.assign) == brute_force_diagonal(square)
+            assert (None if d is None else d.assign) == reference.diagonal(square)
             squares += 1
     assert squares == 14302  # every commuting square was compared, none skipped
 
@@ -153,7 +135,7 @@ def test_find_diagonal_refuses_a_forced_assignment_that_is_not_monotone():
         MonotoneMap(TWO, SIERP, (1, 0)),
         to_point(SIERP),
     )
-    assert brute_force_diagonal(square) is None
+    assert reference.diagonal(square) is None
     assert find_diagonal(square) is None
 
 
@@ -219,7 +201,7 @@ def test_find_diagonal_takes_each_path(monkeypatch, path):
         return search(*args)
 
     monkeypatch.setattr(lifting, "monotone_assignments", counted)
-    assert brute_force_diagonal(square) == expected
+    assert reference.diagonal(square) == expected
     d = find_diagonal(square)
     assert (None if d is None else d.assign) == expected
     assert len(calls) == searches
@@ -403,22 +385,6 @@ def test_orthogonal_class_equals_the_per_map_loop(side, tests):
     )
 
 
-def relabel(space, perm):
-    """The space with old point perm[x] at index x, labels carried along."""
-    return FinPreorder(
-        tuple(space.labels[x] for x in perm),
-        tuple(tuple(space.leq[x][y] for y in perm) for x in perm),
-    )
-
-
-def moved(m, a, b):
-    """b∘m∘a⁻¹ for the relabelings of m's source by a and its target by b."""
-    inverse = {old: x for x, old in enumerate(b)}
-    return MonotoneMap(
-        relabel(m.source, a), relabel(m.target, b), tuple(inverse[m.assign[x]] for x in a)
-    )
-
-
 @st.composite
 def relabeled_maps(draw):
     """A map between spaces of at most 3 points, and a relabeling of it."""
@@ -428,7 +394,7 @@ def relabeled_maps(draw):
     m = draw(st.sampled_from(homs))
     a = draw(st.permutations(range(len(source))))
     b = draw(st.permutations(range(len(target))))
-    return m, moved(m, a, b)
+    return m, reference.move(m, a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,19 +413,7 @@ def relabeling_class(m):
     """m's canonical source and target forms, and m moved onto them."""
     p_rep, a = class_of(m.source)
     q_rep, b = class_of(m.target)
-    return p_rep.space.leq, q_rep.space.leq, moved(m, a, b).assign
-
-
-def orbit(m):
-    """m's orbit under Aut(source) x Aut(target): every b with b[sigma[x]] = tau[m[x]]."""
-    out = set()
-    for sigma in automorphisms(m.source):
-        for tau in automorphisms(m.target):
-            b = [0] * len(sigma)
-            for x, v in enumerate(m.assign):
-                b[sigma[x]] = tau[v]
-            out.add(tuple(b))
-    return out
+    return p_rep.space.leq, q_rep.space.leq, reference.move(m, a, b).assign
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -483,7 +437,7 @@ def test_orthogonal_class_decides_each_relabeling_class_once_per_test(monkeypatc
     assert len(calls) == len(set(calls)) <= 661 * len(tests)
     for m in {m for m, _ in calls}:
         homs = [h.assign for h in hom_enumerate(m.source, m.target)]
-        assert m.assign == min(orbit(m), key=homs.index)
+        assert m.assign == min(reference.orbit(m.source, m.target, m.assign), key=homs.index)
     monkeypatch.setattr(lifting, "lifting_check", check)
     assert got == per_map_orthogonal_class(side, tests, universe, HomCache())
 
@@ -526,14 +480,14 @@ def test_orthogonal_class_builds_no_failing_labeled_map(monkeypatch):
 def relabeled_spaces(draw):
     """A space of at most 3 points with its points, and their labels, permuted."""
     space = draw(spaces(max_size=3))
-    return relabel(space, draw(st.permutations(range(len(space)))))
+    return reference.relabel(space, draw(st.permutations(range(len(space)))))
 
 
-ISO_SIERP = relabel(SIERP, (1, 0))
+ISO_SIERP = reference.relabel(SIERP, (1, 0))
 # A 6-point chain, above DEFAULT_SIZE_CAP, and its relabeling in reverse
 # order: hom(C6, C6) has 462 maps.
 C6 = build_space([f"c{k}" for k in range(6)], [(f"c{k}", f"c{k + 1}") for k in range(5)])
-C6_REVERSED = relabel(C6, (5, 4, 3, 2, 1, 0))
+C6_REVERSED = reference.relabel(C6, (5, 4, 3, 2, 1, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -723,7 +677,7 @@ def commuting_squares(draw):
 @settings(max_examples=300, deadline=None)
 @given(commuting_squares())
 def test_find_diagonal_matches_brute_force_on_random_squares(square):
-    want = brute_force_diagonal(square)
+    want = reference.diagonal(square)
     d = find_diagonal(square)
     assert (None if d is None else d.assign) == want
     f, g, i, j = square.left, square.right, square.top, square.bottom
@@ -731,43 +685,11 @@ def test_find_diagonal_matches_brute_force_on_random_squares(square):
     assert lifting._diagonal(f.assign, i.assign, j.assign, f.target, g.source, fibres) == want
 
 
-def all_monotone(source, target):
-    """Every monotone assignment source -> target, in lexicographic order, by brute force."""
-    n = len(source)
-    return [
-        d
-        for d in itertools.product(range(len(target)), repeat=n)
-        if all(
-            target.leq[d[a]][d[b]] for a in range(n) for b in range(n) if source.leq[a][b]
-        )
-    ]
-
-
-def brute_force_lift(f, g):
-    """(top, bottom) assignments of the first square with no diagonal, or None.
-
-    Every (top, bottom) pair is tried, tops outer, and a commuting square
-    has a diagonal when some d in hom(B, X) has d after f = top and
-    g after d = bottom.
-    """
-    lifts = {
-        (tuple(d[b] for b in f.assign), tuple(g.assign[x] for x in d))
-        for d in all_monotone(f.target, g.source)
-    }
-    bottoms = all_monotone(f.target, g.target)
-    for i in all_monotone(f.source, g.source):
-        for j in bottoms:
-            commutes = all(g.assign[x] == j[b] for x, b in zip(i, f.assign))
-            if commutes and (i, j) not in lifts:
-                return i, j
-    return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(maps(), maps())
 def test_lifting_check_matches_brute_force_lift(f, g):
     result = lifting_check(f, g)
-    want = brute_force_lift(f, g)
+    want = reference.lift(f, g)
     assert result.holds == (want is None)
     if want is not None:
         square = result.counterexample
@@ -851,7 +773,7 @@ def squares_with_several_candidates(draw):
 @given(squares_with_several_candidates())
 def test_find_diagonal_matches_brute_force_with_several_candidates(square):
     assert has_several_candidates(square)
-    want = brute_force_diagonal(square)
+    want = reference.diagonal(square)
     d = find_diagonal(square)
     assert (None if d is None else d.assign) == want
 

@@ -9,7 +9,6 @@ of ``corpus/``, whose file list the benchmark reads.
 """
 
 import io
-import itertools
 import json
 from pathlib import Path
 
@@ -17,7 +16,6 @@ import pytest
 
 from liftprop import (
     EMPTY_TO_PT,
-    FinPreorder,
     codiagonal,
     diagonal,
     elaborate,
@@ -31,6 +29,8 @@ from liftprop import (
 from liftprop.cli import execute_query, run_file
 from liftprop.lifting import HomCache, Universe, epi_lift_result, mono_lift_result
 from liftprop.notation import BUILTIN_MAPS, Env, EpiQuery, MonoQuery
+
+import reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,25 +46,6 @@ def test_mono_epi_size_3_matches_golden_bytes(machine):
     assert run_file(str(GOLDEN / "mono_epi_3.lift"), machine, out) == 0
     expected = GOLDEN / f"mono_epi_3.{'jsonl' if machine else 'out'}"
     assert out.getvalue().encode("utf-8") == expected.read_bytes()
-
-
-def brute_force_has_diagonal(square):
-    """Whether any assignment B -> X is a monotone diagonal of the square."""
-    f, g, i, j = square.left, square.right, square.top, square.bottom
-    b, x = f.target, g.source
-    for d in itertools.product(range(len(x)), repeat=len(b)):
-        if (
-            all(d[f.assign[a]] == i.assign[a] for a in range(len(f.source)))
-            and all(g.assign[d[p]] == j.assign[p] for p in range(len(b)))
-            and all(x.leq[d[p]][d[q]] for p in range(len(b)) for q in range(len(b)) if b.leq[p][q])
-        ):
-            return True
-    return False
-
-
-def commutes(square):
-    f, g, i, j = square.left, square.right, square.top, square.bottom
-    return all(g.assign[i.assign[a]] == j.assign[f.assign[a]] for a in range(len(f.source)))
 
 
 def test_mono_epi_size_4_are_injective_surjective_with_audited_counterexamples():
@@ -90,8 +71,8 @@ def test_mono_epi_size_4_are_injective_surjective_with_audited_counterexamples()
             z = square.right.source
             assert square.left == f and square.right == diagonal(z)
         assert z in spaces
-        assert commutes(square), outcome.query
-        assert not brute_force_has_diagonal(square), outcome.query
+        assert reference.commutes(square), outcome.query
+        assert reference.diagonal(square) is None, outcome.query
     assert "".join(records).encode("utf-8") == (GOLDEN / "mono_epi_4.jsonl").read_bytes()
 
 
@@ -115,9 +96,7 @@ SPACES_3 = enumerate_preorders(3)
 def relabeled(space):
     """The space with its points in reverse order and fresh labels: isomorphic, not equal."""
     perm = range(len(space) - 1, -1, -1)
-    return FinPreorder(
-        tuple(f"z{x}" for x in perm), tuple(tuple(space.leq[x][y] for y in perm) for x in perm)
-    )
+    return reference.relabel(space, perm, [f"z{x}" for x in perm])
 
 
 TEST_SPACE_LISTS = {

@@ -29,6 +29,8 @@ from liftprop import (
 )
 from liftprop.lifting import Universe
 
+import reference
+
 
 def test_surjective_and_injective_read_assignments():
     collapse = MonotoneMap(TWO, PT, (0, 0))
@@ -44,11 +46,8 @@ def bijective_with_monotone_inverse(f):
     n, m = len(f.source), len(f.target)
     if n != m or len(set(f.assign)) != n:
         return False
-    for x in range(n):
-        for y in range(n):
-            if f.target.leq[f.assign[x]][f.assign[y]] and not f.source.leq[x][y]:
-                return False
-    return True
+    inverse = [f.assign.index(v) for v in range(n)]
+    return reference.is_monotone(f.target, f.source, inverse)
 
 
 def test_is_isomorphism_keeps_its_definition_up_to_size_three():
@@ -74,13 +73,11 @@ def test_pi0_component_ids_follow_first_occurrence():
 
 
 def symmetric_reach(space):
-    n = len(space)
-    reach = [[x == y or space.leq[x][y] or space.leq[y][x] for y in range(n)] for x in range(n)]
-    for k in range(n):
-        for x in range(n):
-            for y in range(n):
-                reach[x][y] = reach[x][y] or (reach[x][k] and reach[k][y])
-    return reach
+    """reach[x][y]: x and y are joined by a zigzag, the closure of the relation and its converse."""
+    points = range(len(space))
+    both = [(x, y) for x in points for y in points if space.leq[x][y] or space.leq[y][x]]
+    reach = reference.closure(points, both)
+    return [[(x, y) in reach for y in points] for x in points]
 
 
 def test_pi0_matches_symmetrized_reachability():

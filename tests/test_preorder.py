@@ -1,7 +1,7 @@
 """Core types: spaces, maps, constructions, and enumeration.
 
-Every enumeration result is cross-checked against a naive brute-force
-oracle implemented here, independent of the library's search code.
+Every enumeration result is cross-checked against the brute-force
+references of reference.py, independent of the library's search code.
 """
 
 import ast
@@ -41,7 +41,7 @@ from liftprop import (
 )
 from liftprop.lifting import LiftResult, Universe
 from liftprop import preorder
-from liftprop.preorder import are_isomorphic, automorphisms, class_of
+from liftprop.preorder import are_isomorphic, class_of
 from liftprop.notation import (
     CheckQuery,
     CountsOutcome,
@@ -62,35 +62,7 @@ from liftprop.notation import (
 from liftprop.preorder import monotone_assignments
 from liftprop.verify import SuiteReport
 
-
-def naive_closure(n, pairs):
-    rel = [[x == y for y in range(n)] for x in range(n)]
-    for x, y in pairs:
-        rel[x][y] = True
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            for y in range(n):
-                if rel[x][y]:
-                    for z in range(n):
-                        if rel[y][z] and not rel[x][z]:
-                            rel[x][z] = True
-                            changed = True
-    return tuple(tuple(row) for row in rel)
-
-
-def naive_hom(p, q):
-    out = []
-    for assign in itertools.product(range(len(q)), repeat=len(p)):
-        if all(
-            q.leq[assign[x]][assign[y]]
-            for x in range(len(p))
-            for y in range(len(p))
-            if p.leq[x][y]
-        ):
-            out.append(assign)
-    return out
+import reference
 
 
 def test_build_space_singleton():
@@ -229,7 +201,7 @@ def test_hom_matches_naive_filter_everywhere():
     for p in spaces:
         for q in spaces:
             got = [f.assign for f in hom_enumerate(p, q)]
-            assert got == naive_hom(p, q)
+            assert got == reference.hom(p, q)
             assert len(set(got)) == len(got)
 
 
@@ -365,23 +337,6 @@ def test_diagonal_composes_to_identity_with_projections():
     assert compose(d, proj2) == identity(VEE)
 
 
-def naive_preorder_count(n):
-    count = 0
-    cells = [(x, y) for x in range(n) for y in range(n) if x != y]
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        rel = [[x == y for y in range(n)] for x in range(n)]
-        for (x, y), bit in zip(cells, bits):
-            rel[x][y] = bit
-        if all(
-            not (rel[x][y] and rel[y][z]) or rel[x][z]
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
-        ):
-            count += 1
-    return count
-
-
 def test_enumeration_counts_match_brute_force():
     spaces = enumerate_preorders(4)
     by_size = {}
@@ -389,7 +344,7 @@ def test_enumeration_counts_match_brute_force():
         by_size.setdefault(len(space), []).append(space)
     assert [len(by_size[k]) for k in range(5)] == [1, 1, 4, 29, 355]
     for k in range(4):
-        assert len(by_size[k]) == naive_preorder_count(k)
+        assert len(by_size[k]) == len(reference.preorders(k))
 
 
 def test_enumeration_order_is_row_major_over_all_preorders():
@@ -398,17 +353,7 @@ def test_enumeration_order_is_row_major_over_all_preorders():
     for space in enumerate_preorders(5):
         by_size.setdefault(len(space), []).append(space.leq)
     for k in range(5):
-        expected = []
-        for cells in itertools.product((False, True), repeat=k * k):
-            rel = tuple(cells[x * k : x * k + k] for x in range(k))
-            if all(rel[x][x] for x in range(k)) and all(
-                not (rel[x][y] and rel[y][z]) or rel[x][z]
-                for x in range(k)
-                for y in range(k)
-                for z in range(k)
-            ):
-                expected.append(rel)
-        assert by_size[k] == expected
+        assert by_size[k] == [space.leq for space in reference.preorders(k)]
     assert len(by_size[5]) == 6942
 
 
@@ -452,33 +397,13 @@ def test_canonical_forms_count_isomorphism_classes():
     assert by_size == [1, 1, 3, 9, 33]
 
 
-def relabeled_relation(space, perm):
-    """The relation with old point perm[x] at index x."""
-    return tuple(tuple(space.leq[x][y] for y in perm) for x in perm)
-
-
 def test_canonical_relabeling_carries_each_space_onto_its_form():
     """perm reaches form, no relabeling is less, and no earlier permutation
     in itertools.permutations order reaches it."""
     for space in enumerate_preorders(4):
         rep, perm = class_of(space)
-        form = rep.space.leq
-        relations = [
-            (relabeled_relation(space, p), p) for p in itertools.permutations(range(len(space)))
-        ]
-        assert relabeled_relation(space, perm) == form
-        assert form == min(relation for relation, _ in relations)
-        assert perm == next(p for relation, p in relations if relation == form)
-
-
-def brute_force_canonical_relabeling(space):
-    """The least relabeled relation and the first permutation reaching it, over all n!."""
-    form, first = None, None
-    for perm in itertools.permutations(range(len(space))):
-        relation = relabeled_relation(space, perm)
-        if form is None or relation < form:
-            form, first = relation, perm
-    return form, first
+        assert reference.relation(space, perm) == rep.space.leq
+        assert (rep.space.leq, perm) == reference.canonical_relabeling(space)
 
 
 SIZE_5 = [space for space in enumerate_preorders(5) if len(space) == 5]
@@ -491,7 +416,7 @@ def test_canonical_relabeling_carries_each_five_point_space_onto_its_form():
         rep, perm = class_of(space)
         form = rep.space.leq
         assert sorted(perm) == list(range(5))
-        assert relabeled_relation(space, perm) == form
+        assert reference.relation(space, perm) == form
         assert form in forms
 
 
@@ -511,11 +436,11 @@ def test_canonical_relabeling_of_relabeled_five_point_spaces_is_brute_force(spac
     n = len(space)
     perm = data.draw(st.permutations(range(n)))
     labels = data.draw(st.permutations([f"x{k}" for k in range(n)]))
-    relabeled = FinPreorder(tuple(labels), relabeled_relation(space, perm))
+    relabeled = reference.relabel(space, perm, labels)
     rep, rep_perm = class_of(relabeled)
-    assert relabeled_relation(relabeled, rep_perm) == rep.space.leq
-    assert (rep.space.leq, rep_perm) == brute_force_canonical_relabeling(relabeled)
-    assert rep.group == tuple(automorphisms(rep.space))
+    assert reference.relation(relabeled, rep_perm) == rep.space.leq
+    assert (rep.space.leq, rep_perm) == reference.canonical_relabeling(relabeled)
+    assert rep.group == reference.automorphisms(rep.space)
     assert rep.weight == math.factorial(n) // len(rep.group)
     assert class_of(space)[0].space == rep.space
 
@@ -528,17 +453,14 @@ def test_canonical_relabeling_ignores_labels():
 
 
 def test_automorphisms_are_the_permutations_preserving_the_relation():
-    """The identity first, then the brute-force filter in permutation order."""
+    """class_of's group, conjugated by perm onto each labeled space, is the
+    brute-force group of that space, for the members that are not their
+    class's form too."""
     for space in enumerate_preorders(4):
-        leq, points = space.leq, range(len(space))
-        want = [
-            perm
-            for perm in itertools.permutations(points)
-            if all(leq[perm[x]][perm[y]] == leq[x][y] for x in points for y in points)
-        ]
-        got = automorphisms(space)
-        assert got[0] == tuple(points)
-        assert got == want
+        rep, perm = class_of(space)
+        inverse = [perm.index(x) for x in range(len(space))]
+        got = {tuple(perm[sigma[y]] for y in inverse) for sigma in rep.group}
+        assert got == set(reference.automorphisms(space))
 
 
 def representatives(max_size):
@@ -552,7 +474,7 @@ def test_orbit_weights_count_every_labeled_space():
     by_size = [0] * 5
     for rep in representatives(4):
         n = len(rep)
-        by_size[n] += math.factorial(n) // len(automorphisms(rep))
+        by_size[n] += math.factorial(n) // len(reference.automorphisms(rep))
     assert by_size == [1, 1, 4, 29, 355]
 
 
@@ -563,7 +485,7 @@ def test_domain_representatives_match_the_brute_force_classes():
         got = preorder.representatives(n)
         assert [r.space for r in got] == [rep for rep in oracle if len(rep) == n]
         for r in got:
-            assert list(r.group) == automorphisms(r.space)
+            assert r.group == reference.automorphisms(r.space)
             assert r.weight == math.factorial(n) // len(r.group)
             assert class_of(r.space) == (r, tuple(range(n)))
 
@@ -619,11 +541,9 @@ def test_classes_do_not_depend_on_the_order_spaces_are_first_seen(order):
         leq, form, group, weight, perm = ast.literal_eval(line)
         n = len(leq)
         space = FinPreorder(tuple(f"e{x}" for x in range(n)), leq)
-        points = itertools.permutations(range(n))
         rep = FinPreorder(space.labels, form)
-        want_group = tuple(p for p in points if relabeled_relation(rep, p) == form)
-        assert (form, perm) == brute_force_canonical_relabeling(space)
-        assert group == want_group
+        assert (form, perm) == reference.canonical_relabeling(space)
+        assert group == reference.automorphisms(rep)
         assert weight == math.factorial(n) // len(group)
         assert all(type(v) is int for v in perm + sum(group, ()))
 
@@ -648,22 +568,6 @@ print(are_isomorphic(up, down), _preorders_of_size.cache_info().currsize)
     assert run_fresh(code) == "True 0\n"
 
 
-def orbit_count(p, q):
-    """Orbits of Aut(p) x Aut(q) on hom(p, q): b[sigma[x]] = tau[a[x]]."""
-    seen, orbits = set(), 0
-    pairs = [(sigma, tau) for sigma in automorphisms(p) for tau in automorphisms(q)]
-    for m in hom_enumerate(p, q):
-        if m.assign in seen:
-            continue
-        orbits += 1
-        for sigma, tau in pairs:
-            b = [0] * len(p)
-            for x, v in enumerate(m.assign):
-                b[sigma[x]] = tau[v]
-            seen.add(tuple(b))
-    return orbits
-
-
 @pytest.mark.parametrize(
     "max_size, reps, maps, orbits", [(3, 14, 1476, 661), (4, 47, 87436, 25586)]
 )
@@ -671,16 +575,7 @@ def test_maps_between_representatives_and_their_orbits(max_size, reps, maps, orb
     spaces = representatives(max_size)
     assert len(spaces) == reps
     assert sum(len(hom_enumerate(p, q)) for p in spaces for q in spaces) == maps
-    assert sum(orbit_count(p, q) for p in spaces for q in spaces) == orbits
-
-
-def permutation_isomorphic(p, q):
-    """Some permutation carries the relation of p onto that of q."""
-    n = len(p)
-    return n == len(q) and any(
-        all(p.leq[x][y] == q.leq[perm[x]][perm[y]] for x in range(n) for y in range(n))
-        for perm in itertools.permutations(range(n))
-    )
+    assert sum(reference.orbit_count(p, q) for p in spaces for q in spaces) == orbits
 
 
 def chain(n, reverse=False):
@@ -688,11 +583,6 @@ def chain(n, reverse=False):
     labels = [f"e{k}" for k in range(n)]
     steps = [(labels[k], labels[k + 1]) for k in range(n - 1)]
     return build_space(labels, [(b, a) for a, b in steps] if reverse else steps)
-
-
-def relabel_space(space, perm):
-    """The space with old point perm[x] at index x, labels carried along."""
-    return FinPreorder(tuple(space.labels[x] for x in perm), relabeled_relation(space, perm))
 
 
 # Two non-isomorphic 6-point spaces with 16 related pairs each: a 5-point
@@ -716,9 +606,9 @@ def test_canonical_forms_agree_exactly_on_isomorphic_pairs():
     pairs += [(chain(6), chain(6, reverse=True)), (chain(6), CHAIN_5_AND_POINT)]
     pairs += [(CHAIN_5_AND_POINT, TWO_UNDER_TWO_CHAINS)]
     for space in (CHAIN_5_AND_POINT, TWO_UNDER_TWO_CHAINS):
-        pairs += [(space, relabel_space(space, perm)) for perm in SIX_PERMS]
+        pairs += [(space, reference.relabel(space, perm)) for perm in SIX_PERMS]
     for p, q in pairs:
-        iso = permutation_isomorphic(p, q)
+        iso = reference.isomorphic(p, q)
         assert (class_of(p)[0].space == class_of(q)[0].space) == iso
         assert are_isomorphic(p, q) == iso
     assert are_isomorphic(chain(6), chain(6, reverse=True))
@@ -741,7 +631,8 @@ def test_built_spaces_are_their_own_closure(n, data):
         pairs = []
     labels = [f"x{k}" for k in range(n)]
     space = build_space(labels, [(labels[a], labels[b]) for a, b in pairs])
-    assert space.leq == naive_closure(n, pairs)
+    leq = reference.closure(range(n), pairs)
+    assert {(x, y) for x in range(n) for y in range(n) if space.leq[x][y]} == leq
 
 
 @given(st.integers(min_value=0, max_value=3))
@@ -848,16 +739,8 @@ def candidate_lists(m):
 def test_monotone_assignments_is_the_filtered_product(source, target, data):
     n, m = len(source), len(target)
     candidates = [data.draw(candidate_lists(m)) if m else [] for _ in range(n)]
-    expected = [
-        assign
-        for assign in itertools.product(*candidates)
-        if all(
-            target.leq[assign[x]][assign[y]]
-            for x in range(n)
-            for y in range(n)
-            if source.leq[x][y]
-        )
-    ]
+    every = itertools.product(*candidates)
+    expected = [assign for assign in every if reference.is_monotone(source, target, assign)]
     assert list(monotone_assignments(source, target, candidates)) == expected
 
 
